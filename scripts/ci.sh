@@ -188,6 +188,18 @@ if ! diff <(normalize "$SMOKE/inproc_ref.json") <(normalize "$SMOKE/iso_ref.json
   exit 1
 fi
 
+# The replay-cycle pair drives the dirty-commit redo path (a replayed
+# rewire closes a combinational loop): forked workers must land the
+# identical netlist as the in-process --jobs 2 run.
+RC_IMPL="$ROOT/data/eco02_replay_cycle_impl.blif"
+RC_SPEC="$ROOT/data/eco02_replay_cycle_spec.blif"
+"$CLI" --impl "$RC_IMPL" --spec "$RC_SPEC" --jobs 2 \
+    --out "$SMOKE/rc_ref.blif" > "$SMOKE/rc_ref.log"
+"$CLI" --impl "$RC_IMPL" --spec "$RC_SPEC" --jobs 2 --isolate \
+    --out "$SMOKE/rc_iso.blif" > "$SMOKE/rc_iso.log"
+cmp "$SMOKE/rc_iso.blif" "$SMOKE/rc_ref.blif" \
+    || { echo "--isolate replay-cycle netlist diverged from --jobs 2"; exit 1; }
+
 # Inject each fault kind into the worker of the last planned output: the
 # run must complete degraded (exit 4), quarantine exactly that output to the
 # cone-clone fallback with the matching exit cause and attempt count, and
@@ -348,6 +360,15 @@ P2="$(cat "$FLEET/p2")"
 
 "$CLI" --impl "$IMPL" --spec "$SPEC" --jobs 2 --journal "$FLEET/j_ref" \
     --out "$FLEET/ref.blif" > "$FLEET/ref.log"
+
+# The replay-cycle pair over both healthy agents first: the dirty-commit
+# redo path must land the identical netlist as the --jobs 2 run.
+"$CLI" --impl "$RC_IMPL" --spec "$RC_SPEC" \
+    --workers "127.0.0.1:$P1,127.0.0.1:$P2" \
+    --out "$FLEET/rc_fleet.blif" > "$FLEET/rc_fleet.log" 2>&1 \
+    || { echo "fleet replay-cycle run failed"; cat "$FLEET/rc_fleet.log"; exit 1; }
+cmp "$FLEET/rc_fleet.blif" "$SMOKE/rc_ref.blif" \
+    || { echo "fleet replay-cycle netlist diverged from --jobs 2"; exit 1; }
 
 ( sleep 0.2; kill -9 "$AGENT1" 2>/dev/null ) &
 KILLER=$!

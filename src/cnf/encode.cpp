@@ -18,6 +18,10 @@ Var NetlistEncoder::netVar(NetId net) {
   // The netlist may have grown (patch cloning) since construction.
   if (net >= varOfNet_.size()) varOfNet_.resize(netlist_.numNetsTotal(), -1);
   if (varOfNet_[net] >= 0) return varOfNet_[net];
+  // Re-entering a net whose cone is still being encoded means the netlist
+  // has a combinational loop; fail closed instead of recursing forever.
+  SYSECO_CHECK(varOfNet_[net] != kEncoding && "combinational cycle");
+  varOfNet_[net] = kEncoding;
 
   const Netlist::Net& n = netlist_.net(net);
   Var v = -1;

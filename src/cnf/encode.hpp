@@ -46,6 +46,9 @@ class NetlistEncoder {
   Solver& solver_;
   const Netlist& netlist_;
   std::unordered_map<std::string, Var>& inputVarByName_;
+  /// varOfNet_ marker for a net whose cone is being encoded right now.
+  static constexpr Var kEncoding = -2;
+
   std::vector<Var> varOfNet_;  // -1 when not yet encoded
 };
 

@@ -213,10 +213,7 @@ bool serveTask(int fd, std::string& rx, const FleetTaskRequest& req,
 
   Result<WorkerPatch> r = std::move(*outcome);
   if (!r.isOk())
-    return sendFailure(fd, req.epoch,
-                       r.status().code() == StatusCode::kBudgetExhausted
-                           ? WorkerExitCause::kOom
-                           : WorkerExitCause::kCrash,
+    return sendFailure(fd, req.epoch, workerExitCauseOf(r.status()),
                        r.status().message());
   const WorkerPatch patch = r.take();
   if (opt.verbose)
@@ -309,10 +306,7 @@ bool serveCaseTask(int fd, std::string& rx, const FleetCaseTask& req,
 
   Result<EcoResult> r = std::move(*outcome);
   if (!r.isOk())
-    return sendFailure(fd, req.epoch,
-                       r.status().code() == StatusCode::kBudgetExhausted
-                           ? WorkerExitCause::kOom
-                           : WorkerExitCause::kCrash,
+    return sendFailure(fd, req.epoch, workerExitCauseOf(r.status()),
                        r.status().message());
   EcoResult result = r.take();
   FleetCaseResult res;

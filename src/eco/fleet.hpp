@@ -1,12 +1,14 @@
 #pragma once
 // The --serve-worker fleet agent: the remote half of the --workers
-// transport (the supervisor half lives in syseco.cpp's runFleet).
+// transport (the local half is the fleet executor of syseco.cpp's
+// plan-order supervisor, which commits agent results exactly like those of
+// in-process threads and forked workers).
 //
 // An agent listens on a TCP port and serves one supervisor connection at a
 // time. Over that connection it receives SEF1-framed task requests
 // (eco/isolate.hpp fleet codecs), fetches the content-addressed case
 // payload once per crc32 key, computes each task with the exact pure
-// per-output function a local worker runs (runFleetTask), heartbeats while
+// per-output function every executor runs (runFleetTask), heartbeats while
 // computing so the supervisor's lease stays renewed, and ships back an
 // epoch-stamped result or a contained failure. An agent must never die on
 // a bad task: compute-side exceptions become failure frames, and transport

@@ -1,14 +1,16 @@
 #pragma once
-// Message payloads exchanged between the --isolate supervisor (syseco.cpp)
-// and its forked worker subprocesses (util/subprocess.hpp), carried inside
-// crc32-framed IPC messages (util/ipc.hpp).
+// Message payloads exchanged between the plan-order supervisor (syseco.cpp)
+// and its out-of-process workers: forked --isolate subprocesses
+// (util/subprocess.hpp, crc32-framed IPC from util/ipc.hpp) and
+// --serve-worker fleet agents (TCP, same frames).
 //
 // A worker is a pure function of (base netlist, spec, options, output): it
 // rectifies one output against the shared base snapshot and ships back a
 // WorkerPatch - the gates it appended past the snapshot, its rewire trail
-// and its diagnostics fragment. The supervisor replays that patch through
-// the *same* plan-order commit path the in-process speculative mode uses,
-// which is what makes successful isolated runs bit-identical to --jobs runs.
+// and its diagnostics fragment. Every executor, in-process threads
+// included, builds that patch with the same pure task and the supervisor
+// commits it through one plan-order path, which is what makes successful
+// isolated and fleet runs bit-identical to --jobs runs.
 //
 // Payloads are JSON (the journal_io idiom) so the fuzz-hardened parser
 // guards the wire format, and decodeWorkerPatch re-validates every id
@@ -38,9 +40,8 @@ struct IsolateTaskRequest {
 };
 
 /// Worker -> supervisor: one speculative per-output result, id-relative to
-/// the shared base snapshot. Also the in-process hand-off shape: the
-/// speculative thread path extracts the same struct from its worker engine,
-/// so both modes commit through one code path.
+/// the shared base snapshot. Also the in-process hand-off shape: every
+/// executor reports this struct, so all of them commit through one path.
 struct WorkerPatch {
   struct NewGate {
     GateType type = GateType::Const0;
@@ -202,15 +203,23 @@ Result<FleetCaseResult> decodeFleetCaseResult(std::string_view payload);
 double retryBackoffSeconds(const SysecoOptions& opt, std::uint32_t output,
                            int failedAttempts);
 
+/// The exit cause of a pure task that returned a non-ok Status, whatever
+/// ran it: allocation failure (kBudgetExhausted) is oom, anything else a
+/// crash.
+inline WorkerExitCause workerExitCauseOf(const Status& failure) {
+  return failure.code() == StatusCode::kBudgetExhausted
+             ? WorkerExitCause::kOom
+             : WorkerExitCause::kCrash;
+}
+
 class NetlistAnalysis;
 
-/// The pure per-output fleet task: rectify `output` of `base` against
-/// `spec` under sanitized worker `options`, exactly as a local speculative
-/// worker would, and return the extracted patch. Shared analyses may be
-/// passed to amortize cone work across tasks on the same case (the agent
-/// caches them per case); null pointers make the engine build its own.
-/// Used by the --serve-worker agent and by the supervisor's degraded
-/// in-process path, which is what keeps the two bit-identical.
+/// The pure per-output task: rectify `output` of `base` against `spec`
+/// under sanitized worker `options`, exactly as every local executor does,
+/// and return the extracted patch. Shared analyses may be passed to
+/// amortize cone work across tasks on the same case (the agent caches them
+/// per case); null pointers make the engine build its own. The
+/// --serve-worker agent's entry point into the engine's one task builder.
 Result<WorkerPatch> runFleetTask(const Netlist& base, const Netlist& spec,
                                  const SysecoOptions& options,
                                  std::uint32_t output,

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -233,12 +236,8 @@ class Engine {
       if (opt_.planHook) opt_.planHook(failing, result_.failingOutputsBefore);
     }
 
-    const bool interrupted =
-        speculative
-            ? (!opt_.workers.empty() ? runFleet(failing, plan)
-               : opt_.isolate        ? runIsolated(failing, plan)
-                                     : runSpeculative(failing, plan))
-            : runSequential(failing);
+    const bool interrupted = speculative ? runSupervised(failing, plan)
+                                         : runSequential(failing);
     diag_.interrupted = interrupted;
 
     if (!interrupted) {
@@ -285,9 +284,7 @@ class Engine {
   /// cannot reproduce them) or a hand-built resume plan lacks the base
   /// netlist. Returns true when a checkpoint hook interrupted the run.
   bool runSequential(const std::vector<std::uint32_t>& failing) {
-    Netlist& w = working();
-    bool interrupted = false;
-    for (std::size_t k = 0; k < failing.size() && !interrupted; ++k) {
+    for (std::size_t k = 0; k < failing.size(); ++k) {
       // Fair-share slicing: each output is entitled to 1/left of whatever
       // conflicts, nodes and time remain - one pathological output cannot
       // starve the outputs behind it.
@@ -299,163 +296,897 @@ class Engine {
             std::max(remaining, 0.0) / static_cast<double>(left);
       ResourceGuard outGuard =
           rootGuard_.sliceSeconds(left, perOutputSeconds);
-      const bool reported = rectifyOutput(failing[k], outGuard);
-      if (reported) auditBoundary("post-patch-commit");
-      if (reported && opt_.checkpointHook) {
-        const RunCheckpoint cp{
-            diag_.outputs.back(),
-            diag_.outputs,
-            w,
-            tracker(),
-            diag_.outputs.size(),
-            plannedOutputs_,
-            restoredConflicts_ + rootGuard_.conflictsUsed(),
-            restoredBddNodes_ + rootGuard_.bddNodesUsed()};
-        if (!opt_.checkpointHook(cp)) interrupted = true;
-      }
+      if (rectifyOutput(failing[k], outGuard) &&
+          !checkpointCommit("post-patch-commit"))
+        return true;
     }
-    return interrupted;
+    return false;
   }
 
-  /// Speculative parallel cascade: every planned output is searched by an
-  /// independent worker engine against the unpatched base snapshot, and the
-  /// results are committed strictly in plan order. Each per-output search is
-  /// a pure function of (base netlist, spec, options, output) - the RNG is
-  /// reseeded per output and worker resources are unlimited - and every
-  /// commit-time decision is a deterministic function of the canonical
-  /// state, so the patch, reports and journal are bit-identical for every
-  /// jobs value. Returns true when a checkpoint hook interrupted the run.
-  bool runSpeculative(const std::vector<std::uint32_t>& failing,
-                      const ResumePlan* plan) {
-    Netlist& w = working();
+  /// Post-commit bookkeeping shared by both cascades: audits the phase
+  /// boundary, then hands the checkpoint hook the report just pushed.
+  /// Returns false when the hook interrupted the run.
+  bool checkpointCommit(const char* auditPhase) {
+    auditBoundary(auditPhase);
+    if (!opt_.checkpointHook) return true;
+    const RunCheckpoint cp{
+        diag_.outputs.back(),
+        diag_.outputs,
+        working(),
+        tracker(),
+        diag_.outputs.size(),
+        plannedOutputs_,
+        restoredConflicts_ + rootGuard_.conflictsUsed() + extraConflicts_,
+        restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
+    return opt_.checkpointHook(cp);
+  }
+
+  // --- The plan-order supervisor: one commit loop, three executors --------
+
+  /// Everything a per-output task is a pure function of, minus the output.
+  struct TaskContext {
+    const Netlist& base;
+    const SysecoOptions& workerOpt;
+    const std::vector<std::uint32_t>& protect;
+  };
+
+  /// What an executor reports about one task: the worker's patch, or why
+  /// the attempt failed.
+  struct TaskOutcome {
+    std::size_t slot = 0;
+    std::optional<WorkerPatch> patch;  ///< set on success
+    WorkerExitCause cause = WorkerExitCause::kNone;
+    std::string reason;
+    std::string worker;  ///< who ran it (fleet peer or "local")
+  };
+
+  /// A transport for per-output tasks: it launches, waits and cancels. The
+  /// supervisor owns everything else - the commit window, retry, backoff,
+  /// quarantine and the plan-order commit - so every transport shares one
+  /// commit discipline. Outcomes are reported synchronously, in the order
+  /// the executor observes them.
+  class TaskExecutor {
+   public:
+    using Report = std::function<void(TaskOutcome)>;
+    TaskExecutor() = default;
+    TaskExecutor(const TaskExecutor&) = delete;
+    TaskExecutor& operator=(const TaskExecutor&) = delete;
+    virtual ~TaskExecutor() = default;
+    /// Plan positions past the next commit that may be in flight.
+    virtual std::size_t window() const = 0;
+    /// True when one more task can start now.
+    virtual bool hasCapacity() const = 0;
+    /// Starts the task in `slot`. True when it is now running; false when
+    /// it is not (a failed attempt has then been reported, or the launch
+    /// cost no attempt and the slot stays pending).
+    virtual bool launch(std::size_t slot, std::uint32_t output,
+                        int attempt) = 0;
+    /// Waits for progress and reports what finished. `focus` is the slot
+    /// due next for commit; when it is not running, the executor may idle
+    /// up to `idleSeconds` (its retry backoff).
+    virtual void wait(std::size_t focus, double idleSeconds) = 0;
+    /// Non-empty (the reason) once the transport can take no more work.
+    virtual std::string lost() const { return {}; }
+    /// Stops every running task; their results are abandoned.
+    virtual void cancelAll() = 0;
+  };
+
+  /// In-process threads: the whole window is queued on a work-stealing
+  /// pool and the supervisor blocks on the task due next for commit. With
+  /// zero threads every task runs inline at launch with a window of 1 -
+  /// the jobs = 1 run and the degraded fleet.
+  class ThreadExecutor final : public TaskExecutor {
+   public:
+    ThreadExecutor(const Engine& eng, const TaskContext& ctx,
+                   std::size_t slots, std::size_t threads, Report report)
+        : eng_(eng),
+          ctx_(ctx),
+          report_(std::move(report)),
+          window_(threads > 0 ? std::max<std::size_t>(2 * threads, 4) : 1),
+          results_(slots),
+          futures_(slots),
+          pool_(threads) {}
+    ~ThreadExecutor() override { cancelAll(); }
+
+    std::size_t window() const override { return window_; }
+    bool hasCapacity() const override { return true; }
+
+    bool launch(std::size_t slot, std::uint32_t output, int) override {
+      std::optional<Result<WorkerPatch>>* out = &results_[slot];
+      futures_[slot] = pool_.submit([this, out, output] {
+        out->emplace(computeTask(ctx_.base, eng_.spec_, ctx_.workerOpt,
+                                 output, ctx_.protect, eng_.baseAnalysis_,
+                                 eng_.specAnalysis_));
+      });
+      return true;
+    }
+
+    void wait(std::size_t focus, double idleSeconds) override {
+      if (!futures_[focus].valid()) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(idleSeconds));
+        return;
+      }
+      try {
+        futures_[focus].get();
+      } catch (...) {
+        // computeTask contains every std::exception; only a foreign
+        // exception type gets this far.
+        results_[focus].emplace(
+            Status::internal("non-standard exception escaped the worker"));
+      }
+      Result<WorkerPatch> r = std::move(*results_[focus]);
+      results_[focus].reset();
+      TaskOutcome ev;
+      ev.slot = focus;
+      ev.worker = "local";
+      if (r.isOk()) {
+        ev.patch.emplace(r.take());
+      } else {
+        ev.cause = workerExitCauseOf(r.status());
+        ev.reason = r.status().message();
+      }
+      report_(std::move(ev));
+    }
+
+    void cancelAll() override {
+      for (std::future<void>& f : futures_)
+        if (f.valid()) f.wait();
+    }
+
+   private:
+    const Engine& eng_;
+    const TaskContext ctx_;
+    const Report report_;
+    const std::size_t window_;
+    std::vector<std::optional<Result<WorkerPatch>>> results_;
+    std::vector<std::future<void>> futures_;
+    ThreadPool pool_;  ///< last: joins before the slots its tasks write
+  };
+
+  /// Forked, rlimit-sandboxed worker subprocesses (--isolate): at most
+  /// `jobs` children at once, each inheriting the base snapshot over COW
+  /// fork. Exits are classified into the WorkerExitCause taxonomy and a
+  /// worker past its wall deadline is killed. The parent stays
+  /// single-threaded by design - the children provide the parallelism, and
+  /// a thread-free parent keeps fork safe.
+  class ForkedExecutor final : public TaskExecutor {
+   public:
+    ForkedExecutor(const Engine& eng, const TaskContext& ctx,
+                   std::size_t slots, Report report)
+        : eng_(eng),
+          opt_(eng.opt_),
+          ctx_(ctx),
+          report_(std::move(report)),
+          kids_(slots) {}
+    ~ForkedExecutor() override { cancelAll(); }
+
+    std::size_t window() const override {
+      return std::max<std::size_t>(2 * opt_.jobs, 4);
+    }
+    bool hasCapacity() const override { return running_ < opt_.jobs; }
+
+    bool launch(std::size_t slot, std::uint32_t output, int attempt) override {
+      subprocess::Limits limits;
+      limits.memoryBytes = opt_.isolateMemoryBytes;
+      limits.cpuSeconds = opt_.isolateCpuSeconds;
+      Result<subprocess::Child> forked = subprocess::forkWorker(
+          limits, [this](int requestFd, int responseFd) {
+            return childBody(requestFd, responseFd);
+          });
+      if (!forked.isOk()) {
+        fail(slot, WorkerExitCause::kCrash, forked.status().message());
+        return false;
+      }
+      Kid& kid = kids_[slot];
+      kid.proc = forked.value();
+      kid.buf.clear();
+      kid.startedAt = clock_.seconds();
+      ++running_;
+      const IsolateTaskRequest req{output, attempt};
+      // A write failure means the child already died; the reap probe in
+      // wait() classifies it.
+      (void)subprocess::writeAll(
+          kid.proc.requestFd,
+          ipc::encodeFrame(ipc::kTypeTaskRequest, encodeTaskRequest(req)));
+      subprocess::closeRequestFd(kid.proc);  // EOF: the request is complete
+      return true;
+    }
+
+    void wait(std::size_t, double) override {
+      // A worker event, or a backoff / wall-deadline tick.
+      std::vector<int> fds;
+      for (const Kid& kid : kids_)
+        if (kid.proc.valid() && kid.proc.responseFd >= 0)
+          fds.push_back(kid.proc.responseFd);
+      subprocess::pollReadable(fds, 20);
+
+      // Drain pipes, reap exits, enforce wall deadlines.
+      for (std::size_t k = 0; k < kids_.size(); ++k) {
+        Kid& kid = kids_[k];
+        if (!kid.proc.valid()) continue;
+        (void)subprocess::drainAvailable(kid.proc.responseFd, &kid.buf);
+        if (const auto wo = subprocess::tryReap(kid.proc.pid)) {
+          settleReaped(k, *wo);
+          continue;
+        }
+        if (opt_.isolateWallSeconds > 0.0 &&
+            clock_.seconds() - kid.startedAt > opt_.isolateWallSeconds) {
+          const subprocess::WaitOutcome wo =
+              subprocess::terminateChild(kid.proc.pid, 0.5);
+          release(kid);
+          fail(k, WorkerExitCause::kWallTimeout,
+               wo.killEscalated ? "SIGTERM ignored; SIGKILL delivered" : "");
+        }
+      }
+    }
+
+    void cancelAll() override {
+      for (Kid& kid : kids_) {
+        if (!kid.proc.valid()) continue;
+        subprocess::terminateChild(kid.proc.pid, 0.2);
+        release(kid);
+      }
+    }
+
+   private:
+    struct Kid {
+      subprocess::Child proc;
+      std::string buf;         ///< response bytes accumulated so far
+      double startedAt = 0.0;  ///< executor clock at launch
+    };
+
+    void release(Kid& kid) {
+      subprocess::closeChildFds(kid.proc);
+      kid.proc = subprocess::Child{};
+      --running_;
+    }
+
+    void fail(std::size_t slot, WorkerExitCause cause,
+              const std::string& reason) {
+      TaskOutcome ev;
+      ev.slot = slot;
+      ev.cause = cause;
+      ev.reason = reason;
+      report_(std::move(ev));
+    }
+
+    void settleReaped(std::size_t k, const subprocess::WaitOutcome& wo) {
+      Kid& kid = kids_[k];
+      // The pipe can still hold the tail of a response after the child is
+      // reaped; drain to EOF before judging the bytes.
+      while (true) {
+        const std::size_t before = kid.buf.size();
+        Result<bool> more =
+            subprocess::drainAvailable(kid.proc.responseFd, &kid.buf);
+        if (!more.isOk() || !more.value() || kid.buf.size() == before) break;
+      }
+      release(kid);
+      if (wo.kind == subprocess::WaitKind::kSignaled) {
+        fail(k,
+             wo.signal == SIGXCPU ? WorkerExitCause::kCpuTimeout
+                                  : WorkerExitCause::kCrash,
+             "signal " + std::to_string(wo.signal));
+        return;
+      }
+      switch (wo.exitCode) {
+        case subprocess::kChildExitOk:
+          break;
+        case subprocess::kChildExitOom:
+          fail(k, WorkerExitCause::kOom, "");
+          return;
+        case subprocess::kChildExitFaultInjected:
+          fail(k, WorkerExitCause::kFaultInjected, "");
+          return;
+        case subprocess::kChildExitBadRequest:
+          fail(k, WorkerExitCause::kGarbageIpc,
+               "worker rejected the task request");
+          return;
+        default:
+          fail(k, WorkerExitCause::kCrash,
+               "exit code " + std::to_string(wo.exitCode));
+          return;
+      }
+      Result<ipc::Frame> frame = ipc::decodeFrame(kid.buf);
+      if (!frame.isOk() || frame.value().type != ipc::kTypeWorkerResult) {
+        fail(k, WorkerExitCause::kGarbageIpc,
+             frame.isOk() ? "unexpected frame type"
+                          : frame.status().message());
+        return;
+      }
+      Result<WorkerPatch> decoded =
+          decodeWorkerPatch(frame.value().payload, ctx_.base);
+      if (!decoded.isOk()) {
+        fail(k, WorkerExitCause::kGarbageIpc, decoded.status().message());
+        return;
+      }
+      TaskOutcome ev;
+      ev.slot = k;
+      ev.patch.emplace(decoded.take());
+      report_(std::move(ev));
+    }
+
+    /// Runs inside the forked worker: decode the request, honor
+    /// worker-side fault injection, compute the pure task against the
+    /// (COW-inherited) base snapshot and ship the WorkerPatch back. The
+    /// return value becomes the child's exit code via forkWorker.
+    int childBody(int requestFd, int responseFd) const {
+      Result<std::string> raw = subprocess::readAll(requestFd);
+      if (!raw.isOk()) return subprocess::kChildExitBadRequest;
+      Result<ipc::Frame> frame = ipc::decodeFrame(raw.value());
+      if (!frame.isOk() || frame.value().type != ipc::kTypeTaskRequest)
+        return subprocess::kChildExitBadRequest;
+      Result<IsolateTaskRequest> req = decodeTaskRequest(frame.value().payload);
+      if (!req.isOk() || req.value().output >= ctx_.base.numOutputs())
+        return subprocess::kChildExitBadRequest;
+      const std::uint32_t o = req.value().output;
+
+      // Worker-side fault sites: "isolate.worker" hits every task; the
+      // per-output variant pins the blast radius to one output in tests
+      // and CI. (kCrash fires centrally inside fault::fire - _Exit(137).)
+      const std::string persite = "isolate.worker.o" + std::to_string(o);
+      const char* sites[2] = {"isolate.worker", persite.c_str()};
+      for (const char* site : sites) {
+        const auto kind = fault::fire(site);
+        if (!kind) continue;
+        switch (*kind) {
+          case fault::Kind::kOom:
+            // Escapes the whole body; forkWorker maps it to kChildExitOom.
+            throw std::bad_alloc{};
+          case fault::Kind::kHang:
+            // A worker stuck in a loop that shrugs off SIGTERM: the wall
+            // deadline must escalate to SIGKILL.
+            std::signal(SIGTERM, SIG_IGN);
+            for (;;) subprocess::pollReadable({}, 1000);
+          case fault::Kind::kGarbageIpc: {
+            std::string garbled = ipc::encodeFrame(ipc::kTypeWorkerResult,
+                                                   "{\"produced\":true}");
+            garbled[garbled.size() / 2] =
+                static_cast<char>(garbled[garbled.size() / 2] ^ 0x40);
+            (void)subprocess::writeAll(responseFd, garbled);
+            return subprocess::kChildExitOk;
+          }
+          default:
+            // The engine-internal kinds (budget/deadline/bdd/alloc) have
+            // no meaning at this site; report a cleanly contained
+            // injection.
+            return subprocess::kChildExitFaultInjected;
+        }
+      }
+
+      Result<WorkerPatch> patch =
+          computeTask(ctx_.base, eng_.spec_, ctx_.workerOpt, o, ctx_.protect,
+                      eng_.baseAnalysis_, eng_.specAnalysis_);
+      if (!patch.isOk())
+        return workerExitCauseOf(patch.status()) == WorkerExitCause::kOom
+                   ? subprocess::kChildExitOom
+                   : subprocess::kChildExitUncaught;
+      const std::string resp = ipc::encodeFrame(
+          ipc::kTypeWorkerResult, encodeWorkerPatch(patch.value()));
+      if (!subprocess::writeAll(responseFd, resp).isOk())
+        return subprocess::kChildExitUncaught;
+      return subprocess::kChildExitOk;
+    }
+
+    const Engine& eng_;
+    const SysecoOptions& opt_;
+    const TaskContext ctx_;
+    const Report report_;
+    std::vector<Kid> kids_;  ///< per slot; a valid proc while running
+    std::size_t running_ = 0;
+    Timer clock_;
+  };
+
+  /// The TCP fleet (--workers): tasks are sharded over persistent
+  /// connections to --serve-worker agents. The case payload is uploaded
+  /// once per agent, content-addressed by crc32. Each assignment carries a
+  /// fresh epoch and a lease; heartbeats renew the lease, and a task whose
+  /// agent disconnects, babbles or overruns its lease is reported failed.
+  /// Duplicate results from reclaimed assignments are discarded by epoch.
+  /// A peer with two consecutive transport failures is dead; the executor
+  /// is lost once fewer than fleetMinWorkers peers remain usable.
+  class FleetExecutor final : public TaskExecutor {
+   public:
+    FleetExecutor(const Engine& eng, const TaskContext& ctx, std::size_t slots,
+                  Report report)
+        : eng_(eng),
+          opt_(eng.opt_),
+          base_(ctx.base),
+          report_(std::move(report)),
+          casePayload_(encodeFleetCase(ctx.base, eng.spec_, ctx.workerOpt,
+                                       ctx.protect)),
+          caseCrc_(crc32(casePayload_)),
+          tasks_(slots) {
+      for (const std::string& spec : opt_.workers) {
+        Result<std::pair<std::string, std::uint16_t>> hp =
+            net::parseHostPort(spec);
+        if (!hp.isOk()) continue;  // validateSysecoOptions rejects these
+        Peer p;
+        p.spec = spec;
+        p.host = hp.value().first;
+        p.port = hp.value().second;
+        peers_.push_back(std::move(p));
+      }
+    }
+    ~FleetExecutor() override { cancelAll(); }
+
+    std::size_t window() const override {
+      return std::max<std::size_t>(2 * peers_.size(), 4);
+    }
+
+    bool hasCapacity() const override { return idlePeer() >= 0; }
+
+    bool launch(std::size_t k, std::uint32_t output, int attempt) override {
+      const std::size_t pi = static_cast<std::size_t>(idlePeer());
+      Peer& p = peers_[pi];
+      if (p.fd < 0) {
+        Result<int> fd =
+            net::connectTo(p.host, p.port, opt_.fleetConnectTimeoutMs);
+        if (!fd.isOk()) {
+          // The task never reached an agent, so no retry attempt is
+          // consumed: the refusal is the peer's failure, and enough of
+          // those kill the peer (and eventually lose the fleet).
+          eng_.fleetEvent(workerExitCauseName(WorkerExitCause::kConnRefused),
+                          p.spec, output, attempt - 1, fd.status().message());
+          failPeer(pi, fd.status().message());
+          return false;
+        }
+        p.fd = fd.take();
+        p.rx.clear();
+      }
+      FleetTaskRequest req;
+      req.output = output;
+      req.attempt = attempt;
+      req.epoch = ++epochCounter_;
+      req.leaseSeconds = opt_.fleetLeaseSeconds;
+      req.caseCrc = caseCrc_;
+      if (!net::sendFrame(p.fd, ipc::kTypeFleetTask,
+                          encodeFleetTaskRequest(req))
+               .isOk()) {
+        fail(k, WorkerExitCause::kConnReset, p.spec,
+             "task request send failed");
+        failPeer(pi, "task request send failed");
+        return false;
+      }
+      Task& t = tasks_[k];
+      t.live = true;
+      t.output = output;
+      t.peer = static_cast<int>(pi);
+      t.epoch = req.epoch;
+      t.deadline = clock_.seconds() + opt_.fleetLeaseSeconds;
+      p.st = PeerState::kBusy;
+      p.task = static_cast<int>(k);
+      return true;
+    }
+
+    void wait(std::size_t, double) override {
+      // A fleet event, or a backoff / lease tick.
+      std::vector<int> fds;
+      for (const Peer& p : peers_)
+        if (p.fd >= 0) fds.push_back(p.fd);
+      subprocess::pollReadable(fds, 20);
+
+      for (std::size_t pi = 0; pi < peers_.size(); ++pi) servicePeer(pi);
+
+      // Lease enforcement: an assignment with no heartbeat inside its lease
+      // is reclaimed. The connection is kept - the agent may still deliver
+      // a now-stale result, and discarding it by epoch is cheaper than
+      // resynchronizing a torn stream - but the peer stops counting toward
+      // fleet health until that happens.
+      const double now = clock_.seconds();
+      for (std::size_t k = 0; k < tasks_.size(); ++k) {
+        const Task& t = tasks_[k];
+        if (!t.live || now <= t.deadline) continue;
+        Peer& p = peers_[static_cast<std::size_t>(t.peer)];
+        p.st = PeerState::kLagging;
+        fail(k, WorkerExitCause::kLeaseExpired, p.spec,
+             "no heartbeat within the lease");
+      }
+    }
+
+    /// kLagging and kDead peers cannot take work, so only kIdle/kBusy count.
+    std::string lost() const override {
+      std::size_t healthy = 0;
+      for (const Peer& p : peers_)
+        if (p.st == PeerState::kIdle || p.st == PeerState::kBusy) ++healthy;
+      if (healthy >= static_cast<std::size_t>(opt_.fleetMinWorkers)) return {};
+      return std::to_string(healthy) + " usable worker(s), minimum " +
+             std::to_string(opt_.fleetMinWorkers);
+    }
+
+    /// Abandons the agents (no attempt is charged: the supervisor is
+    /// leaving them, not the other way around).
+    void cancelAll() override {
+      for (Peer& p : peers_) {
+        net::closeSocket(p.fd);
+        p.rx.clear();
+        p.task = -1;
+        p.st = PeerState::kDead;
+      }
+      for (Task& t : tasks_) t.live = false;
+    }
+
+   private:
+    struct Task {
+      bool live = false;  ///< an assignment is outstanding
+      std::uint32_t output = 0;
+      int peer = -1;            ///< assigned peer while live
+      std::uint64_t epoch = 0;  ///< current assignment; stale frames differ
+      double deadline = 0.0;    ///< lease expiry on the executor clock
+    };
+    enum class PeerState : std::uint8_t { kIdle, kBusy, kLagging, kDead };
+    struct Peer {
+      std::string spec;  ///< "host:port" as the user wrote it
+      std::string host;
+      std::uint16_t port = 0;
+      int fd = -1;
+      std::string rx;   ///< framed receive stream
+      int strikes = 0;  ///< consecutive transport failures
+      int task = -1;    ///< task index while kBusy / kLagging
+      PeerState st = PeerState::kIdle;
+    };
+    static constexpr int kPeerMaxStrikes = 2;
+
+    int idlePeer() const {
+      for (std::size_t i = 0; i < peers_.size(); ++i)
+        if (peers_[i].st == PeerState::kIdle) return static_cast<int>(i);
+      return -1;
+    }
+
+    /// The task index whose live assignment this peer holds, or -1.
+    int liveTask(const Peer& p) const {
+      return p.st == PeerState::kBusy && p.task >= 0 &&
+                     tasks_[static_cast<std::size_t>(p.task)].live
+                 ? p.task
+                 : -1;
+    }
+
+    /// True when `epoch` names the live assignment of this peer's task.
+    bool isCurrent(const Peer& p, std::uint64_t epoch) const {
+      const int k = liveTask(p);
+      return k >= 0 && tasks_[static_cast<std::size_t>(k)].epoch == epoch;
+    }
+
+    void fail(std::size_t k, WorkerExitCause cause, const std::string& worker,
+              const std::string& reason) {
+      tasks_[k].live = false;
+      TaskOutcome ev;
+      ev.slot = k;
+      ev.cause = cause;
+      ev.reason = reason;
+      ev.worker = worker;
+      report_(std::move(ev));
+    }
+
+    /// Fails the peer's live task (if any) and strikes the peer.
+    void failTaskAndPeer(std::size_t pi, WorkerExitCause cause,
+                         const std::string& why) {
+      const Peer& p = peers_[pi];
+      const int k = liveTask(p);
+      if (k >= 0)
+        fail(static_cast<std::size_t>(k), cause, p.spec, why);
+      else
+        eng_.fleetEvent(workerExitCauseName(cause), p.spec, 0, 0, why);
+      failPeer(pi, why);
+    }
+
+    void failPeer(std::size_t pi, const std::string& why) {
+      Peer& p = peers_[pi];
+      net::closeSocket(p.fd);
+      p.rx.clear();
+      p.task = -1;
+      ++p.strikes;
+      if (p.strikes >= kPeerMaxStrikes) {
+        p.st = PeerState::kDead;
+        eng_.fleetEvent("worker-dead", p.spec, 0, 0, why);
+        std::fprintf(stderr, "[syseco] fleet worker %s marked dead: %s\n",
+                     p.spec.c_str(), why.c_str());
+      } else {
+        p.st = PeerState::kIdle;
+      }
+    }
+
+    /// The agent answered for its assignment (result or contained
+    /// failure): it is healthy and rejoins the pool.
+    void settlePeer(Peer& p) {
+      p.task = -1;
+      p.strikes = 0;
+      p.st = PeerState::kIdle;
+    }
+
+    // A stale frame: the agent finished an assignment that was already
+    // reclaimed. The duplicate is discarded by epoch and the agent rejoins
+    // the pool - it is alive and computed honestly, just too late.
+    void settleStale(Peer& p, std::uint64_t epoch, const char* what) {
+      const std::uint32_t output =
+          p.task >= 0 ? tasks_[static_cast<std::size_t>(p.task)].output : 0;
+      eng_.fleetEvent("stale-epoch", p.spec, output, 0,
+                      std::string("discarded duplicate ") + what +
+                          " for epoch " + std::to_string(epoch));
+      if (p.st == PeerState::kLagging) settlePeer(p);
+    }
+
+    void handleFrame(std::size_t pi, const ipc::Frame& f) {
+      Peer& p = peers_[pi];
+      switch (f.type) {
+        case ipc::kTypeFleetNeedCase: {
+          Result<std::uint32_t> crc = decodeFleetNeedCase(f.payload);
+          if (!crc.isOk() || crc.value() != caseCrc_) {
+            failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
+                            "bad need-case frame");
+            return;
+          }
+          eng_.fleetEvent("case-upload", p.spec, 0, 0,
+                          std::to_string(casePayload_.size()) + " bytes");
+          if (!net::sendFrame(p.fd, ipc::kTypeFleetCase, casePayload_)
+                   .isOk()) {
+            const int k = liveTask(p);
+            if (k >= 0)
+              fail(static_cast<std::size_t>(k), WorkerExitCause::kConnReset,
+                   p.spec, "case upload failed");
+            failPeer(pi, "case upload failed");
+          }
+          return;
+        }
+        case ipc::kTypeFleetHeartbeat: {
+          Result<std::uint64_t> ep = decodeFleetHeartbeat(f.payload);
+          if (!ep.isOk()) {
+            failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
+                            "bad heartbeat frame");
+            return;
+          }
+          // Heartbeats for reclaimed assignments are ignored: the peer is
+          // kLagging and stays out of the pool until its stale result
+          // lands.
+          if (isCurrent(p, ep.value()))
+            tasks_[static_cast<std::size_t>(p.task)].deadline =
+                clock_.seconds() + opt_.fleetLeaseSeconds;
+          return;
+        }
+        case ipc::kTypeFleetResult: {
+          Result<std::uint64_t> ep = peekFleetEpoch(f.payload);
+          if (!ep.isOk()) {
+            failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
+                            "bad result envelope");
+            return;
+          }
+          if (!isCurrent(p, ep.value())) {
+            settleStale(p, ep.value(), "result");
+            return;
+          }
+          const std::size_t k = static_cast<std::size_t>(p.task);
+          Result<WorkerPatch> decoded = decodeWorkerPatch(f.payload, base_);
+          if (!decoded.isOk()) {
+            fail(k, WorkerExitCause::kGarbageIpc, p.spec,
+                 decoded.status().message());
+            failPeer(pi, "undecodable result: " + decoded.status().message());
+            return;
+          }
+          tasks_[k].live = false;
+          settlePeer(p);
+          TaskOutcome ev;
+          ev.slot = k;
+          ev.patch.emplace(decoded.take());
+          ev.worker = p.spec;
+          report_(std::move(ev));
+          return;
+        }
+        case ipc::kTypeFleetFailure: {
+          Result<FleetFailure> failure = decodeFleetFailure(f.payload);
+          if (!failure.isOk()) {
+            failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
+                            "bad failure frame");
+            return;
+          }
+          if (!isCurrent(p, failure.value().epoch)) {
+            settleStale(p, failure.value().epoch, "failure");
+            return;
+          }
+          const std::size_t k = static_cast<std::size_t>(p.task);
+          // A contained failure report proves the agent itself is healthy.
+          settlePeer(p);
+          fail(k,
+               workerExitCauseFromName(failure.value().cause)
+                   .value_or(WorkerExitCause::kCrash),
+               p.spec, failure.value().detail);
+          return;
+        }
+        default:
+          failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
+                          "unexpected fleet frame type " +
+                              std::to_string(f.type));
+          return;
+      }
+    }
+
+    /// Drains the peer's stream, dispatches whole frames and classifies a
+    /// broken stream.
+    void servicePeer(std::size_t pi) {
+      Peer& p = peers_[pi];
+      if (p.fd < 0) return;
+      const ioretry::DrainOutcome dr =
+          ioretry::drainNonblockingRaw(p.fd, &p.rx);
+      const bool eof = dr.state == ioretry::DrainState::kEof;
+      const int derr = dr.state == ioretry::DrainState::kError ? dr.err : 0;
+      while (p.fd >= 0) {
+        net::RecvOutcome out = net::takeFrame(&p.rx, eof, derr);
+        if (out.status == net::RecvStatus::kFrame) {
+          handleFrame(pi, out.frame);
+          continue;
+        }
+        if (out.status == net::RecvStatus::kTimeout) break;  // stream intact
+        WorkerExitCause cause = WorkerExitCause::kConnReset;
+        if (out.status == net::RecvStatus::kTruncated)
+          cause = WorkerExitCause::kFrameTruncated;
+        else if (out.status == net::RecvStatus::kGarbage)
+          cause = WorkerExitCause::kGarbageIpc;
+        failTaskAndPeer(
+            pi, cause,
+            out.detail.empty() ? workerExitCauseName(cause) : out.detail);
+        break;
+      }
+    }
+
+    const Engine& eng_;
+    const SysecoOptions& opt_;
+    const Netlist& base_;
+    const Report report_;
+    /// The one-time case upload: everything a task is a pure function of,
+    /// minus the output index.
+    const std::string casePayload_;
+    const std::uint32_t caseCrc_;
+    std::vector<Task> tasks_;
+    std::vector<Peer> peers_;
+    std::uint64_t epochCounter_ = 0;
+    Timer clock_;
+  };
+
+  /// The plan-order supervisor behind every speculative mode. Each planned
+  /// output is searched by an independent pure task against the unpatched
+  /// base snapshot (in-process threads, forked --isolate workers or the TCP
+  /// fleet), and results commit strictly in plan order through
+  /// commitWorker. The per-output search is a pure function of (base
+  /// netlist, spec, options, output) - the RNG is reseeded per output and
+  /// worker resources are unlimited - and every commit-time decision is a
+  /// deterministic function of the canonical state, so the patch, reports
+  /// and journal are bit-identical for every jobs value and transport. A
+  /// failed attempt retries with deterministic capped backoff; an output
+  /// that exhausts isolateMaxAttempts is quarantined to the cone-clone
+  /// fallback. A fleet that drops below fleetMinWorkers degrades to the
+  /// inline in-process executor - slower, never wrong, never aborted.
+  /// Returns true when a checkpoint hook interrupted the run.
+  bool runSupervised(const std::vector<std::uint32_t>& failing,
+                     const ResumePlan* plan) {
     // Workers search from the unpatched base. When not resuming, w *is*
     // that base right now - but it mutates as commits land, so snapshot it.
-    const Netlist base = plan ? plan->base : w;
+    const Netlist base = plan ? plan->base : working();
     commitBaseGates_ = base.numGatesTotal();
     commitBaseNets_ = base.numNetsTotal();
-
     const SysecoOptions workerOpt = makeWorkerOptions();
-
     // Workers protect the *full* planned output set, not just the still-
     // pending remainder: an uninterrupted run's workers see every planned
     // output as failing, and a resumed run must reproduce those workers
     // bit-exactly even though some outputs are already committed.
-    const std::vector<std::uint32_t>& protect = plan ? plan->order : failing;
+    const TaskContext ctx{base, workerOpt, plan ? plan->order : failing};
 
-    struct WorkerSlot {
-      SysecoDiagnostics frag;
-      std::unique_ptr<Engine> engine;
-      bool produced = false;
-      std::future<void> fut;
+    enum class SlotState : std::uint8_t { kPending, kRunning, kDone };
+    struct Slot {
+      SlotState st = SlotState::kPending;
+      int attemptsFailed = 0;
+      WorkerExitCause lastCause = WorkerExitCause::kNone;
+      bool quarantined = false;
+      double notBefore = 0.0;  ///< backoff: earliest relaunch time
+      std::optional<WorkerPatch> patch;
     };
-    std::vector<WorkerSlot> slots(failing.size());
-    // jobs=1 degenerates to a zero-thread pool whose submit() runs the task
-    // inline, with a launch window of 1: the worker for output k runs
-    // exactly at commit time, in commit order, through the same code path
-    // as jobs>1. (The pool is declared after `slots` so it joins - and the
-    // in-flight tasks finish - before the slots they write into go away.)
-    ThreadPool pool(opt_.jobs > 1 ? opt_.jobs : 0);
-    const std::size_t window =
-        opt_.jobs > 1 ? std::max<std::size_t>(2 * opt_.jobs, 4) : 1;
-    std::size_t launched = 0;
-    auto launchUpTo = [&](std::size_t limit) {
-      for (; launched < std::min(limit, slots.size()); ++launched) {
-        WorkerSlot& s = slots[launched];
-        const std::uint32_t o = failing[launched];
-        s.engine = std::make_unique<Engine>(base, spec_, workerOpt, s.frag);
-        s.engine->setSharedAnalyses(baseAnalysis_, specAnalysis_);
-        Engine* eng = s.engine.get();
-        bool* produced = &s.produced;
-        s.fut = pool.submit([eng, produced, o, &protect] {
-          *produced = eng->rectifyAsWorker(o, protect);
-        });
-      }
-    };
+    std::vector<Slot> slots(failing.size());
+    const bool fleet = !opt_.workers.empty();
+    Timer clock;
 
-    bool interrupted = false;
-    for (std::size_t k = 0; k < failing.size(); ++k) {
-      launchUpTo(k + window);
-      // A worker failure must not unwind the whole run: classify it into
-      // the shared WorkerExitCause taxonomy and redo the output on the
-      // canonical netlist (the sequential cascade's view) instead.
-      WorkerExitCause cause = WorkerExitCause::kNone;
-      std::string reason;
-      try {
-        slots[k].fut.get();
-      } catch (const std::bad_alloc&) {
-        cause = WorkerExitCause::kOom;
-        reason = "allocation failure escaped the worker";
-      } catch (const std::exception& e) {
-        cause = WorkerExitCause::kCrash;
-        reason = e.what();
-      } catch (...) {
-        cause = WorkerExitCause::kCrash;
-        reason = "non-standard exception escaped the worker";
+    const TaskExecutor::Report report = [&](TaskOutcome ev) {
+      Slot& s = slots[ev.slot];
+      const std::uint32_t o = failing[ev.slot];
+      if (ev.patch) {
+        s.patch = std::move(ev.patch);
+        s.st = SlotState::kDone;
+        return;
       }
-      bool reported = false;
-      if (cause == WorkerExitCause::kNone) {
-        reported = slots[k].produced &&
-                   commitWorker(failing[k],
-                                extractWorkerPatch(*slots[k].engine));
-      } else {
+      ++s.attemptsFailed;
+      s.lastCause = ev.cause;
+      if (fleet)
+        fleetEvent(workerExitCauseName(ev.cause), ev.worker, o,
+                   s.attemptsFailed, ev.reason);
+      std::fprintf(stderr,
+                   "[syseco] worker out=%u attempt %d/%d failed: %s%s%s%s\n",
+                   o, s.attemptsFailed, opt_.isolateMaxAttempts,
+                   workerExitCauseName(ev.cause),
+                   ev.reason.empty() ? "" : " (", ev.reason.c_str(),
+                   ev.reason.empty() ? "" : ")");
+      if (s.attemptsFailed >= opt_.isolateMaxAttempts) {
+        s.quarantined = true;
+        s.st = SlotState::kDone;
         std::fprintf(stderr,
-                     "[syseco] in-process worker out=%u failed (%s: %s); "
-                     "redoing on the canonical netlist\n",
-                     failing[k], workerExitCauseName(cause), reason.c_str());
-        slots[k].engine.reset();
-        ResourceGuard redoGuard;
-        reported = rectifyOutput(failing[k], redoGuard);
-        if (reported) {
-          OutputReport& rep = diag_.outputs.back();
-          rep.workerFailedAttempts = 1;
-          rep.workerExitCause = cause;
-          extraConflicts_ += rep.conflictsUsed;
-          extraBddNodes_ += rep.bddNodesUsed;
-        }
+                     "[syseco] out=%u quarantined after %d attempts; "
+                     "degrading to the cone-clone fallback\n",
+                     o, s.attemptsFailed);
+      } else {
+        s.st = SlotState::kPending;
+        s.notBefore = clock.seconds() + backoffSeconds(o, s.attemptsFailed);
       }
-      slots[k].engine.reset();  // free the worker's netlist copy promptly
-      if (reported) auditBoundary("post-patch-commit");
-      if (reported && opt_.checkpointHook) {
-        const RunCheckpoint cp{
-            diag_.outputs.back(),
-            diag_.outputs,
-            w,
-            tracker(),
-            diag_.outputs.size(),
-            plannedOutputs_,
-            restoredConflicts_ + rootGuard_.conflictsUsed() + extraConflicts_,
-            restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
-        if (!opt_.checkpointHook(cp)) {
+    };
+
+    // The audit phase names the boundary the committed patch crossed.
+    std::unique_ptr<TaskExecutor> exec;
+    const char* auditPhase = "post-patch-commit";
+    if (fleet) {
+      exec = std::make_unique<FleetExecutor>(*this, ctx, slots.size(), report);
+      auditPhase = "post-fleet-decode";
+    } else if (opt_.isolate) {
+      exec = std::make_unique<ForkedExecutor>(*this, ctx, slots.size(), report);
+      auditPhase = "post-isolate-decode";
+    } else {
+      exec = std::make_unique<ThreadExecutor>(
+          *this, ctx, slots.size(), opt_.jobs > 1 ? opt_.jobs : 0, report);
+    }
+
+    std::size_t nextCommit = 0;
+    bool interrupted = false;
+    while (nextCommit < slots.size() && !interrupted) {
+      const std::string lost = exec->lost();
+      if (!lost.empty()) {
+        fleetEvent("fleet-degraded", "", 0, 0,
+                   lost + "; continuing in-process");
+        std::fprintf(stderr,
+                     "[syseco] fleet degraded below --fleet-min-workers; "
+                     "continuing in-process\n");
+        exec->cancelAll();
+        for (Slot& s : slots)
+          if (s.st == SlotState::kRunning) s.st = SlotState::kPending;
+        exec = std::make_unique<ThreadExecutor>(*this, ctx, slots.size(), 0,
+                                                report);
+      }
+
+      // Launch phase: start due pending tasks from the commit window.
+      const double now = clock.seconds();
+      const std::size_t horizon =
+          std::min(slots.size(), nextCommit + exec->window());
+      for (std::size_t k = nextCommit; k < horizon; ++k) {
+        Slot& s = slots[k];
+        if (s.st != SlotState::kPending || s.notBefore > now) continue;
+        if (!exec->hasCapacity()) break;
+        if (exec->launch(k, failing[k], s.attemptsFailed + 1))
+          s.st = SlotState::kRunning;
+      }
+
+      const Slot& due = slots[nextCommit];
+      const double backoffLeft =
+          due.st == SlotState::kPending ? due.notBefore - clock.seconds() : 0.0;
+      exec->wait(nextCommit, std::max(0.0, backoffLeft));
+
+      // Commit phase: adopt finished tasks strictly in plan order.
+      while (nextCommit < slots.size() &&
+             slots[nextCommit].st == SlotState::kDone) {
+        Slot& s = slots[nextCommit];
+        const std::uint32_t o = failing[nextCommit];
+        bool reported = false;
+        if (s.quarantined) {
+          reported = commitQuarantined(o, s.attemptsFailed, s.lastCause);
+        } else if (s.patch->produced) {
+          reported = commitWorker(o, *s.patch);
+          if (reported && s.attemptsFailed > 0) {
+            // The commit path reproduces the clean report; the supervisor
+            // grafts on what the retries cost.
+            diag_.outputs.back().workerFailedAttempts = s.attemptsFailed;
+            diag_.outputs.back().workerExitCause = s.lastCause;
+          }
+        }
+        s.patch.reset();
+        ++nextCommit;
+        if (reported && !checkpointCommit(auditPhase)) {
           interrupted = true;
           break;
         }
       }
     }
-    // An interrupted run leaves speculation in flight; it must finish
-    // before the slots (and `failing`) go out of scope. Abandoned results
-    // are discarded, but a failure is still classified and logged - a
-    // silently swallowed crash here would hide a real defect.
-    for (std::size_t k = 0; k < launched; ++k) {
-      if (!slots[k].fut.valid()) continue;
-      try {
-        slots[k].fut.get();
-      } catch (const std::bad_alloc&) {
-        std::fprintf(stderr,
-                     "[syseco] abandoned speculative worker out=%u: %s\n",
-                     failing[k], workerExitCauseName(WorkerExitCause::kOom));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "[syseco] abandoned speculative worker out=%u: %s (%s)\n",
-                     failing[k], workerExitCauseName(WorkerExitCause::kCrash),
-                     e.what());
-      } catch (...) {
-        std::fprintf(
-            stderr,
-            "[syseco] abandoned speculative worker out=%u: %s "
-            "(non-standard exception)\n",
-            failing[k], workerExitCauseName(WorkerExitCause::kCrash));
-      }
-    }
+    exec->cancelAll();
     return interrupted;
   }
 
@@ -465,10 +1196,8 @@ class Engine {
   /// earlier commits is discarded and redone against the canonical state.
   /// All commit-time solving uses a per-output commit RNG and an unlimited
   /// local guard, so the decision depends only on (seed, output, canonical
-  /// netlist) - never on scheduling. The WorkerPatch hand-off shape is
-  /// shared with the subprocess isolation mode (eco/isolate.hpp), so both
-  /// modes commit through this one path. Returns true when a report was
-  /// pushed.
+  /// netlist) - never on scheduling or on which executor ran the worker.
+  /// Returns true when a report was pushed.
   bool commitWorker(std::uint32_t o, const WorkerPatch& patch) {
     const std::uint32_t op = specOutput(o);
     if (op == kNullId) return false;
@@ -482,6 +1211,22 @@ class Engine {
                                (static_cast<std::uint64_t>(o) + 1)));
     ResourceGuard commitGuard;
     Timer commitTimer;
+
+    // Discards the speculative patch and redoes the output sequentially
+    // against the current canonical state - the sequential cascade's exact
+    // view - charging the commit-time checks to its report.
+    auto redo = [&] {
+      ResourceGuard redoGuard;
+      const bool reported = rectifyOutput(o, redoGuard);
+      if (reported) {
+        OutputReport& rep = diag_.outputs.back();
+        rep.conflictsUsed += commitGuard.conflictsUsed();
+        rep.bddNodesUsed += commitGuard.bddNodesUsed();
+        extraConflicts_ += rep.conflictsUsed;
+        extraBddNodes_ += rep.bddNodesUsed;
+      }
+      return reported;
+    };
 
     if (dirty) {
       // Earlier patches may have fixed this output already (the sequential
@@ -505,9 +1250,7 @@ class Engine {
         pushCommittedReport(std::move(report));
         return true;
       }
-    }
 
-    if (dirty) {
       // Patches that rewire onto newly-created logic (synthesized gates or
       // cone clones) lose the sequential cascade's cross-output reuse: a
       // later output could have absorbed an earlier output's patch logic -
@@ -525,21 +1268,8 @@ class Engine {
         else
           finalBySink.emplace_back(r.sink, r.newNet);
       }
-      bool addsLogic = false;
       for (const auto& [sink, newNet] : finalBySink)
-        addsLogic |= newNet >= commitBaseNets_;
-      if (addsLogic) {
-        ResourceGuard redoGuard;
-        const bool reported = rectifyOutput(o, redoGuard);
-        if (reported) {
-          OutputReport& rep = diag_.outputs.back();
-          rep.conflictsUsed += commitGuard.conflictsUsed();
-          rep.bddNodesUsed += commitGuard.bddNodesUsed();
-          extraConflicts_ += rep.conflictsUsed;
-          extraBddNodes_ += rep.bddNodesUsed;
-        }
-        return reported;
-      }
+        if (newNet >= commitBaseNets_) return redo();
     }
 
     // Replay the worker's patch onto the canonical netlist. Worker gate and
@@ -584,38 +1314,32 @@ class Engine {
     if (dirty) {
       // The worker proved its patch only against the unpatched base;
       // re-prove every output the replayed patch touches on the canonical
-      // netlist before keeping it.
+      // netlist before keeping it. A rewire that was acyclic on the base
+      // can close a combinational loop through logic earlier commits
+      // rewired; that is a conflict too, and must never reach the encoder.
       Timer phase;
-      bool ok = true;
-      PairEncoding pe(w, spec_);
-      pe.setResourceGuard(&commitGuard);
-      for (std::uint32_t ao : affectedOutputs(replayedPins, o)) {
-        const std::uint32_t aop = specOutput(ao);
-        if (aop == kNullId) continue;
-        if (pe.solveDiffSwept(ao, aop, opt_.validationBudget, commitRng) !=
-            Solver::Result::Unsat) {
-          ok = false;
-          break;
+      bool ok = w.isAcyclic();
+      if (ok) {
+        PairEncoding pe(w, spec_);
+        pe.setResourceGuard(&commitGuard);
+        for (std::uint32_t ao : affectedOutputs(replayedPins, o)) {
+          const std::uint32_t aop = specOutput(ao);
+          if (aop == kNullId) continue;
+          if (pe.solveDiffSwept(ao, aop, opt_.validationBudget, commitRng) !=
+              Solver::Result::Unsat) {
+            ok = false;
+            break;
+          }
         }
       }
       diag_.secondsValidation += phase.seconds();
       if (!ok) {
-        // The speculative patch conflicts with earlier commits. Roll the
-        // canonical netlist back and redo this output sequentially against
-        // the current patched state - the sequential cascade's exact view.
+        // The speculative patch conflicts with earlier commits: roll the
+        // canonical netlist back before the redo.
         w = std::move(*backup);
         trackerStore_.emplace(w, *preState);
         tracker_ = &*trackerStore_;
-        ResourceGuard redoGuard;
-        const bool reported = rectifyOutput(o, redoGuard);
-        if (reported) {
-          OutputReport& rep = diag_.outputs.back();
-          rep.conflictsUsed += commitGuard.conflictsUsed();
-          rep.bddNodesUsed += commitGuard.bddNodesUsed();
-          extraConflicts_ += rep.conflictsUsed;
-          extraBddNodes_ += rep.bddNodesUsed;
-        }
-        return reported;
+        return redo();
       }
     }
 
@@ -659,25 +1383,7 @@ class Engine {
     diag_.secondsFallback += f.secondsFallback;
   }
 
-  /// Snapshots a worker engine's result into the commit hand-off shape
-  /// shared with the subprocess isolation path (eco/isolate.hpp).
-  WorkerPatch extractWorkerPatch(const Engine& worker) const {
-    WorkerPatch p;
-    p.produced = true;
-    p.baseGates = commitBaseGates_;
-    p.baseNets = commitBaseNets_;
-    const Netlist& wn = worker.result_.rectified;
-    for (GateId g = static_cast<GateId>(commitBaseGates_);
-         g < wn.numGatesTotal(); ++g) {
-      const auto& gate = wn.gate(g);
-      p.gates.push_back(WorkerPatch::NewGate{gate.type, gate.fanins, gate.out});
-    }
-    p.rewires = worker.tracker_->rewires();
-    p.frag = worker.diag_;
-    return p;
-  }
-
-  // --- Fault-contained subprocess isolation (--isolate) --------------------
+  // --- Worker options, retry and quarantine ------------------------------
 
   /// Options a per-output worker runs with, in either execution mode: no
   /// hooks, no nested parallelism, no nested isolation.
@@ -927,345 +1633,45 @@ class Engine {
     return true;
   }
 
-  /// Runs inside the forked worker: decode the request, honor worker-side
-  /// fault injection, rectify the output against the (COW-inherited) base
-  /// snapshot and ship the WorkerPatch back. The return value becomes the
-  /// child's exit code via the forkWorker wrapper.
-  int isolatedWorkerBody(int requestFd, int responseFd, const Netlist& base,
-                         const std::vector<std::uint32_t>& protect,
-                         const SysecoOptions& workerOpt) {
-    Result<std::string> raw = subprocess::readAll(requestFd);
-    if (!raw.isOk()) return subprocess::kChildExitBadRequest;
-    Result<ipc::Frame> frame = ipc::decodeFrame(raw.value());
-    if (!frame.isOk() || frame.value().type != ipc::kTypeTaskRequest)
-      return subprocess::kChildExitBadRequest;
-    Result<IsolateTaskRequest> req = decodeTaskRequest(frame.value().payload);
-    if (!req.isOk() || req.value().output >= base.numOutputs())
-      return subprocess::kChildExitBadRequest;
-    const std::uint32_t o = req.value().output;
-
-    // Worker-side fault sites: "isolate.worker" hits every task; the
-    // per-output variant pins the blast radius to one output in tests and
-    // CI. (kCrash fires centrally inside fault::fire - std::_Exit(137).)
-    const std::string persite = "isolate.worker.o" + std::to_string(o);
-    const char* sites[2] = {"isolate.worker", persite.c_str()};
-    for (const char* site : sites) {
-      const auto kind = fault::fire(site);
-      if (!kind) continue;
-      switch (*kind) {
-        case fault::Kind::kOom:
-          // Escapes the whole body; forkWorker maps it to kChildExitOom.
-          throw std::bad_alloc{};
-        case fault::Kind::kHang:
-          // A worker stuck in a loop that shrugs off SIGTERM: the
-          // supervisor's wall deadline must escalate to SIGKILL.
-          std::signal(SIGTERM, SIG_IGN);
-          for (;;) subprocess::pollReadable({}, 1000);
-        case fault::Kind::kGarbageIpc: {
-          std::string garbled =
-              ipc::encodeFrame(ipc::kTypeWorkerResult, "{\"produced\":true}");
-          garbled[garbled.size() / 2] =
-              static_cast<char>(garbled[garbled.size() / 2] ^ 0x40);
-          (void)subprocess::writeAll(responseFd, garbled);
-          return subprocess::kChildExitOk;
-        }
-        default:
-          // The engine-internal kinds (budget/deadline/bdd/alloc) have no
-          // meaning at this site; report a cleanly contained injection.
-          return subprocess::kChildExitFaultInjected;
-      }
-    }
-
-    SysecoDiagnostics frag;
-    Engine eng(base, spec_, workerOpt, frag);
-    eng.setSharedAnalyses(baseAnalysis_, specAnalysis_);
-    const bool produced = eng.rectifyAsWorker(o, protect);
-    WorkerPatch patch;
-    if (produced) {
-      patch = extractWorkerPatch(eng);
-    } else {
-      patch.baseGates = commitBaseGates_;
-      patch.baseNets = commitBaseNets_;
-    }
-    patch.produced = produced;
-    const std::string resp =
-        ipc::encodeFrame(ipc::kTypeWorkerResult, encodeWorkerPatch(patch));
-    if (!subprocess::writeAll(responseFd, resp).isOk())
-      return subprocess::kChildExitUncaught;
-    return subprocess::kChildExitOk;
-  }
-
-  /// The isolation supervisor: per-output tasks run in forked, rlimit-
-  /// sandboxed worker subprocesses. Outcomes are classified into the
-  /// WorkerExitCause taxonomy; transient failures retry with deterministic
-  /// capped backoff; an output that exhausts isolateMaxAttempts is
-  /// quarantined to the cone-clone fallback. Successful results commit
-  /// strictly in plan order through the exact code path the in-process
-  /// speculative mode uses, so a clean isolated run is bit-identical to a
-  /// --jobs run. Single-threaded on the parent side by design: the children
-  /// provide the parallelism, and a thread-free parent keeps fork safe.
-  /// Returns true when a checkpoint hook interrupted the run.
-  bool runIsolated(const std::vector<std::uint32_t>& failing,
-                   const ResumePlan* plan) {
-    Netlist& w = working();
-    const Netlist base = plan ? plan->base : w;
-    commitBaseGates_ = base.numGatesTotal();
-    commitBaseNets_ = base.numNetsTotal();
-    const SysecoOptions workerOpt = makeWorkerOptions();
-    const std::vector<std::uint32_t>& protect = plan ? plan->order : failing;
-
-    enum class SlotState : std::uint8_t { kPending, kRunning, kDone };
-    struct IsoSlot {
-      SlotState st = SlotState::kPending;
-      int attemptsFailed = 0;
-      WorkerExitCause lastCause = WorkerExitCause::kNone;
-      bool quarantined = false;
-      subprocess::Child child;
-      std::string buf;           ///< response bytes accumulated so far
-      double startedAt = 0.0;    ///< supervisor clock at launch
-      double notBefore = 0.0;    ///< backoff: earliest relaunch time
-      std::optional<WorkerPatch> patch;
-    };
-    std::vector<IsoSlot> slots(failing.size());
-    Timer clock;
-    const std::size_t window = std::max<std::size_t>(2 * opt_.jobs, 4);
-    std::size_t nextCommit = 0;
-
-    auto drainToEof = [](IsoSlot& s) {
-      // The pipe can still hold the tail of a response after the child is
-      // reaped; drain to EOF before judging the bytes.
-      while (true) {
-        const std::size_t before = s.buf.size();
-        Result<bool> more =
-            subprocess::drainAvailable(s.child.responseFd, &s.buf);
-        if (!more.isOk() || !more.value() || s.buf.size() == before) break;
-      }
-    };
-
-    auto failAttempt = [&](std::size_t k, WorkerExitCause cause,
-                           const std::string& reason) {
-      IsoSlot& s = slots[k];
-      ++s.attemptsFailed;
-      s.lastCause = cause;
-      s.buf.clear();
-      std::fprintf(stderr,
-                   "[syseco] isolated worker out=%u attempt %d/%d failed: "
-                   "%s%s%s%s\n",
-                   failing[k], s.attemptsFailed, opt_.isolateMaxAttempts,
-                   workerExitCauseName(cause), reason.empty() ? "" : " (",
-                   reason.c_str(), reason.empty() ? "" : ")");
-      if (s.attemptsFailed >= opt_.isolateMaxAttempts) {
-        s.quarantined = true;
-        s.st = SlotState::kDone;
-        std::fprintf(stderr,
-                     "[syseco] out=%u quarantined after %d attempts; "
-                     "degrading to the cone-clone fallback\n",
-                     failing[k], s.attemptsFailed);
-      } else {
-        s.st = SlotState::kPending;
-        s.notBefore =
-            clock.seconds() + backoffSeconds(failing[k], s.attemptsFailed);
-      }
-    };
-
-    auto settleReaped = [&](std::size_t k,
-                            const subprocess::WaitOutcome& wo) {
-      IsoSlot& s = slots[k];
-      drainToEof(s);
-      subprocess::closeChildFds(s.child);
-      s.child = subprocess::Child{};
-      if (wo.kind == subprocess::WaitKind::kSignaled) {
-        failAttempt(k,
-                    wo.signal == SIGXCPU ? WorkerExitCause::kCpuTimeout
-                                         : WorkerExitCause::kCrash,
-                    "signal " + std::to_string(wo.signal));
-        return;
-      }
-      if (wo.exitCode == subprocess::kChildExitOk) {
-        Result<ipc::Frame> frame = ipc::decodeFrame(s.buf);
-        if (frame.isOk() && frame.value().type == ipc::kTypeWorkerResult) {
-          Result<WorkerPatch> decoded =
-              decodeWorkerPatch(frame.value().payload, base);
-          if (decoded.isOk()) {
-            s.patch.emplace(decoded.take());
-            s.buf.clear();
-            s.st = SlotState::kDone;
-            return;
-          }
-          failAttempt(k, WorkerExitCause::kGarbageIpc,
-                      decoded.status().message());
-          return;
-        }
-        failAttempt(k, WorkerExitCause::kGarbageIpc,
-                    frame.isOk() ? "unexpected frame type"
-                                 : frame.status().message());
-        return;
-      }
-      switch (wo.exitCode) {
-        case subprocess::kChildExitOom:
-          failAttempt(k, WorkerExitCause::kOom, "");
-          return;
-        case subprocess::kChildExitFaultInjected:
-          failAttempt(k, WorkerExitCause::kFaultInjected, "");
-          return;
-        case subprocess::kChildExitBadRequest:
-          failAttempt(k, WorkerExitCause::kGarbageIpc,
-                      "worker rejected the task request");
-          return;
-        default:
-          failAttempt(k, WorkerExitCause::kCrash,
-                      "exit code " + std::to_string(wo.exitCode));
-          return;
-      }
-    };
-
-    auto launchSlot = [&](std::size_t k) {
-      IsoSlot& s = slots[k];
-      const std::uint32_t o = failing[k];
-      subprocess::Limits limits;
-      limits.memoryBytes = opt_.isolateMemoryBytes;
-      limits.cpuSeconds = opt_.isolateCpuSeconds;
-      Result<subprocess::Child> forked = subprocess::forkWorker(
-          limits, [&](int requestFd, int responseFd) {
-            return isolatedWorkerBody(requestFd, responseFd, base, protect,
-                                      workerOpt);
-          });
-      if (!forked.isOk()) {
-        failAttempt(k, WorkerExitCause::kCrash, forked.status().message());
-        return;
-      }
-      s.child = forked.value();
-      s.buf.clear();
-      s.startedAt = clock.seconds();
-      s.st = SlotState::kRunning;
-      const IsolateTaskRequest req{o, s.attemptsFailed + 1};
-      const std::string bytes =
-          ipc::encodeFrame(ipc::kTypeTaskRequest, encodeTaskRequest(req));
-      // A write failure means the child already died; the reap probe in the
-      // service phase classifies it.
-      (void)subprocess::writeAll(s.child.requestFd, bytes);
-      subprocess::closeRequestFd(s.child);  // EOF: the request is complete
-    };
-
-    auto killAll = [&] {
-      for (IsoSlot& s : slots) {
-        if (s.st == SlotState::kRunning && s.child.valid()) {
-          subprocess::terminateChild(s.child.pid, 0.2);
-          subprocess::closeChildFds(s.child);
-          s.child = subprocess::Child{};
-        }
-      }
-    };
-
-    bool interrupted = false;
-    while (nextCommit < slots.size() && !interrupted) {
-      // Launch phase: fill free worker seats with due pending slots from
-      // the commit window.
-      const double now = clock.seconds();
-      std::size_t running = 0;
-      for (const IsoSlot& s : slots)
-        if (s.st == SlotState::kRunning) ++running;
-      const std::size_t horizon = std::min(slots.size(), nextCommit + window);
-      for (std::size_t k = nextCommit; k < horizon && running < opt_.jobs;
-           ++k) {
-        if (slots[k].st != SlotState::kPending || slots[k].notBefore > now)
-          continue;
-        launchSlot(k);
-        if (slots[k].st == SlotState::kRunning) ++running;
-      }
-
-      // Wait for a worker event (or a backoff / wall-deadline tick).
-      std::vector<int> fds;
-      for (const IsoSlot& s : slots)
-        if (s.st == SlotState::kRunning && s.child.responseFd >= 0)
-          fds.push_back(s.child.responseFd);
-      subprocess::pollReadable(fds, 20);
-
-      // Service phase: drain pipes, reap exits, enforce wall deadlines.
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        IsoSlot& s = slots[k];
-        if (s.st != SlotState::kRunning || !s.child.valid()) continue;
-        (void)subprocess::drainAvailable(s.child.responseFd, &s.buf);
-        if (const auto wo = subprocess::tryReap(s.child.pid)) {
-          settleReaped(k, *wo);
-          continue;
-        }
-        if (opt_.isolateWallSeconds > 0.0 &&
-            clock.seconds() - s.startedAt > opt_.isolateWallSeconds) {
-          const subprocess::WaitOutcome wo =
-              subprocess::terminateChild(s.child.pid, 0.5);
-          subprocess::closeChildFds(s.child);
-          s.child = subprocess::Child{};
-          failAttempt(k, WorkerExitCause::kWallTimeout,
-                      wo.killEscalated ? "SIGTERM ignored; SIGKILL delivered"
-                                       : "");
-        }
-      }
-
-      // Commit phase: adopt finished slots strictly in plan order through
-      // the same path the in-process speculative mode uses.
-      while (nextCommit < slots.size() &&
-             slots[nextCommit].st == SlotState::kDone) {
-        IsoSlot& s = slots[nextCommit];
-        const std::uint32_t o = failing[nextCommit];
-        bool reported = false;
-        if (s.quarantined) {
-          reported = commitQuarantined(o, s.attemptsFailed, s.lastCause);
-        } else if (s.patch && s.patch->produced) {
-          reported = commitWorker(o, *s.patch);
-          if (reported && s.attemptsFailed > 0) {
-            // The commit path reproduces the clean report; the supervisor
-            // grafts on what the retries cost.
-            diag_.outputs.back().workerFailedAttempts = s.attemptsFailed;
-            diag_.outputs.back().workerExitCause = s.lastCause;
-          }
-        }
-        s.patch.reset();
-        ++nextCommit;
-        // The committed patch crossed the IPC decode boundary before it
-        // touched the canonical netlist; audit what it left behind.
-        if (reported) auditBoundary("post-isolate-decode");
-        if (reported && opt_.checkpointHook) {
-          const RunCheckpoint cp{
-              diag_.outputs.back(),
-              diag_.outputs,
-              w,
-              tracker(),
-              diag_.outputs.size(),
-              plannedOutputs_,
-              restoredConflicts_ + rootGuard_.conflictsUsed() +
-                  extraConflicts_,
-              restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
-          if (!opt_.checkpointHook(cp)) {
-            interrupted = true;
-            break;
-          }
-        }
-      }
-    }
-    killAll();
-    return interrupted;
-  }
-
-  // --- Distributed fleet supervision (--workers host:port,...) ------------
+  // --- Pure per-output tasks and fleet observability ---------------------
 
  public:
-  /// The pure per-output fleet task: the exact computation a forked isolate
-  /// worker runs, packaged as a static function so both the --serve-worker
-  /// agent process and the supervisor's degraded in-process path compute
-  /// byte-identical WorkerPatch results. Escaping exceptions are contained
-  /// into a non-ok Status - an agent must report a task failure, never die.
+  /// The pure per-output task and the one place a WorkerPatch is built:
+  /// in-process threads, forked --isolate workers and --serve-worker agents
+  /// (through runFleetTask) all compute it, which is what keeps every
+  /// executor's result byte-identical. Escaping exceptions are contained
+  /// into a non-ok Status - a worker reports a task failure, never dies.
   static Result<WorkerPatch> computeTask(
       const Netlist& base, const Netlist& spec, const SysecoOptions& workerOpt,
       std::uint32_t output, const std::vector<std::uint32_t>& protect,
       const NetlistAnalysis* baseAnalysis, const NetlistAnalysis* specAnalysis) {
     if (output >= base.numOutputs())
-      return Status::invalidInput("fleet task output out of range");
+      return Status::invalidInput("worker task output out of range");
     try {
+      // Task fault sites fail the pure task the same way under every
+      // executor: oom/alloc as an allocation failure, any other engine
+      // kind as a crash. "syseco.task" hits every task; the per-output
+      // variant pins the blast radius to one output.
+      const std::string persite = "syseco.task.o" + std::to_string(output);
+      for (const char* site : {"syseco.task", persite.c_str()}) {
+        const auto kind = fault::fire(site);
+        if (kind == fault::Kind::kOom || kind == fault::Kind::kAllocFailure)
+          throw std::bad_alloc{};
+        if (kind) throw StatusError(Status::internal("injected task fault"));
+      }
+      // The worker borrows the caller's immutable analyses, protects every
+      // planned output the way the sequential cascade protects still-
+      // unprocessed ones, and runs unlimited (speculation only runs on
+      // unlimited runs). A produced report is frag's only entry.
       SysecoDiagnostics frag;
       Engine eng(base, spec, workerOpt, frag);
-      eng.setSharedAnalyses(baseAnalysis, specAnalysis);
-      const bool produced = eng.rectifyAsWorker(output, protect);
+      eng.baseAnalysis_ = baseAnalysis;
+      eng.specAnalysis_ = specAnalysis;
+      eng.trackerStore_.emplace(eng.result_.rectified);
+      eng.tracker_ = &*eng.trackerStore_;
+      eng.failingSet_.insert(protect.begin(), protect.end());
+      ResourceGuard unlimited;
+      const bool produced = eng.rectifyOutput(output, unlimited);
       WorkerPatch p;
       p.produced = produced;
       p.baseGates = base.numGatesTotal();
@@ -1283,11 +1689,11 @@ class Engine {
       }
       return p;
     } catch (const std::bad_alloc&) {
-      return Status::budgetExhausted("fleet task allocation failure");
+      return Status::budgetExhausted("worker task allocation failure");
     } catch (const StatusError& e) {
       return e.status();
     } catch (const std::exception& e) {
-      return Status::internal(std::string("fleet task threw: ") + e.what());
+      return Status::internal(std::string("worker task threw: ") + e.what());
     }
   }
 
@@ -1298,7 +1704,7 @@ class Engine {
   /// records, which is what keeps fleet runs bit-comparable to --jobs.
   void fleetEvent(const std::string& kind, const std::string& worker,
                   std::uint32_t output, int attempt,
-                  const std::string& detail) {
+                  const std::string& detail) const {
     if (opt_.fleetEventHook) {
       FleetEvent ev;
       ev.kind = kind;
@@ -1312,500 +1718,6 @@ class Engine {
       std::fprintf(stderr, "[syseco] fleet %s worker=%s out=%u attempt=%d%s%s\n",
                    kind.c_str(), worker.c_str(), output, attempt,
                    detail.empty() ? "" : ": ", detail.c_str());
-  }
-
-  /// The fleet supervisor: per-output tasks are sharded over persistent TCP
-  /// connections to --serve-worker agents. Each assignment carries a fresh
-  /// epoch and a lease; heartbeats renew the lease, and a task whose agent
-  /// disconnects, babbles or overruns its lease is reclaimed and retried
-  /// through the same capped-backoff / quarantine machinery as --isolate.
-  /// Duplicate results from reassigned-then-returned tasks are discarded by
-  /// epoch. When fewer than fleetMinWorkers agents remain usable the run
-  /// degrades to computing the identical pure task in-process (sequentially;
-  /// slower, never wrong). Commits happen strictly in plan order through
-  /// the shared commitWorker path, so verdict records are bit-identical to
-  /// a local --jobs run. Returns true when a checkpoint hook interrupted.
-  bool runFleet(const std::vector<std::uint32_t>& failing,
-                const ResumePlan* plan) {
-    Netlist& w = working();
-    const Netlist base = plan ? plan->base : w;
-    commitBaseGates_ = base.numGatesTotal();
-    commitBaseNets_ = base.numNetsTotal();
-    const SysecoOptions workerOpt = makeWorkerOptions();
-    const std::vector<std::uint32_t>& protect = plan ? plan->order : failing;
-
-    // The one-time case upload: everything a task is a pure function of,
-    // minus the output index. Content-addressed by crc32 so each agent
-    // fetches it at most once per connection lifetime.
-    const std::string casePayload =
-        encodeFleetCase(base, spec_, workerOpt, protect);
-    const std::uint32_t caseCrc = crc32(casePayload);
-
-    enum class TaskState : std::uint8_t { kPending, kRunning, kDone };
-    struct FleetTask {
-      TaskState st = TaskState::kPending;
-      int attemptsFailed = 0;
-      WorkerExitCause lastCause = WorkerExitCause::kNone;
-      bool quarantined = false;
-      std::uint64_t epoch = 0;  ///< current assignment; stale frames differ
-      int peer = -1;            ///< peer index while kRunning
-      double deadline = 0.0;    ///< lease expiry on the supervisor clock
-      double notBefore = 0.0;   ///< backoff: earliest reassignment time
-      std::optional<WorkerPatch> patch;
-    };
-    enum class PeerState : std::uint8_t { kIdle, kBusy, kLagging, kDead };
-    struct FleetPeer {
-      std::string spec;  ///< "host:port" as the user wrote it
-      std::string host;
-      std::uint16_t port = 0;
-      int fd = -1;
-      std::string rx;             ///< framed receive stream
-      int strikes = 0;            ///< consecutive transport failures
-      int task = -1;              ///< task index while kBusy / kLagging
-      std::uint64_t staleEpoch = 0;  ///< lease-expired assignment, if any
-      PeerState st = PeerState::kIdle;
-    };
-    constexpr int kPeerMaxStrikes = 2;
-
-    std::vector<FleetTask> tasks(failing.size());
-    std::vector<FleetPeer> peers;
-    for (const std::string& spec : opt_.workers) {
-      Result<std::pair<std::string, std::uint16_t>> hp =
-          net::parseHostPort(spec);
-      if (!hp.isOk()) continue;  // validateSysecoOptions rejects these
-      FleetPeer p;
-      p.spec = spec;
-      p.host = hp.value().first;
-      p.port = hp.value().second;
-      peers.push_back(std::move(p));
-    }
-
-    Timer clock;
-    const std::size_t window = std::max<std::size_t>(2 * peers.size(), 4);
-    std::size_t nextCommit = 0;
-    std::uint64_t epochCounter = 0;
-    bool interrupted = false;
-    bool degraded = false;
-
-    auto failAttempt = [&](std::size_t k, WorkerExitCause cause,
-                           const std::string& worker,
-                           const std::string& reason) {
-      FleetTask& t = tasks[k];
-      ++t.attemptsFailed;
-      t.lastCause = cause;
-      t.peer = -1;
-      fleetEvent(workerExitCauseName(cause), worker, failing[k],
-                 t.attemptsFailed, reason);
-      std::fprintf(stderr,
-                   "[syseco] fleet task out=%u attempt %d/%d failed: %s%s%s%s\n",
-                   failing[k], t.attemptsFailed, opt_.isolateMaxAttempts,
-                   workerExitCauseName(cause), reason.empty() ? "" : " (",
-                   reason.c_str(), reason.empty() ? "" : ")");
-      if (t.attemptsFailed >= opt_.isolateMaxAttempts) {
-        t.quarantined = true;
-        t.st = TaskState::kDone;
-        std::fprintf(stderr,
-                     "[syseco] out=%u quarantined after %d attempts; "
-                     "degrading to the cone-clone fallback\n",
-                     failing[k], t.attemptsFailed);
-      } else {
-        t.st = TaskState::kPending;
-        t.notBefore =
-            clock.seconds() + backoffSeconds(failing[k], t.attemptsFailed);
-      }
-    };
-
-    auto failPeer = [&](std::size_t pi, const std::string& why) {
-      FleetPeer& p = peers[pi];
-      net::closeSocket(p.fd);
-      p.rx.clear();
-      p.task = -1;
-      p.staleEpoch = 0;
-      ++p.strikes;
-      if (p.strikes >= kPeerMaxStrikes) {
-        p.st = PeerState::kDead;
-        fleetEvent("worker-dead", p.spec, 0, 0, why);
-        std::fprintf(stderr, "[syseco] fleet worker %s marked dead: %s\n",
-                     p.spec.c_str(), why.c_str());
-      } else {
-        p.st = PeerState::kIdle;
-      }
-    };
-
-    // A stale frame: the agent finished an assignment the supervisor
-    // already reclaimed. The duplicate is discarded by epoch and the agent
-    // rejoins the pool - it is alive and computed honestly, just too late.
-    auto settleStale = [&](std::size_t pi, std::uint64_t epoch,
-                           const char* what) {
-      FleetPeer& p = peers[pi];
-      fleetEvent("stale-epoch", p.spec,
-                 p.task >= 0 ? failing[static_cast<std::size_t>(p.task)] : 0, 0,
-                 std::string("discarded duplicate ") + what + " for epoch " +
-                     std::to_string(epoch));
-      p.task = -1;
-      p.staleEpoch = 0;
-      p.strikes = 0;
-      if (p.st == PeerState::kLagging) p.st = PeerState::kIdle;
-    };
-
-    // True when `epoch` names the live assignment of this peer's task.
-    auto isCurrent = [&](const FleetPeer& p, std::uint64_t epoch) {
-      return p.task >= 0 &&
-             tasks[static_cast<std::size_t>(p.task)].st == TaskState::kRunning &&
-             tasks[static_cast<std::size_t>(p.task)].epoch == epoch;
-    };
-
-    auto failGarbage = [&](std::size_t pi, const std::string& why) {
-      FleetPeer& p = peers[pi];
-      if (p.task >= 0 &&
-          tasks[static_cast<std::size_t>(p.task)].st == TaskState::kRunning)
-        failAttempt(static_cast<std::size_t>(p.task),
-                    WorkerExitCause::kGarbageIpc, p.spec, why);
-      else
-        fleetEvent(workerExitCauseName(WorkerExitCause::kGarbageIpc), p.spec,
-                   0, 0, why);
-      failPeer(pi, why);
-    };
-
-    auto handleFrame = [&](std::size_t pi, const ipc::Frame& f) {
-      FleetPeer& p = peers[pi];
-      switch (f.type) {
-        case ipc::kTypeFleetNeedCase: {
-          Result<std::uint32_t> crc = decodeFleetNeedCase(f.payload);
-          if (!crc.isOk() || crc.value() != caseCrc) {
-            failGarbage(pi, "bad need-case frame");
-            return;
-          }
-          fleetEvent("case-upload", p.spec, 0, 0,
-                     std::to_string(casePayload.size()) + " bytes");
-          if (!net::sendFrame(p.fd, ipc::kTypeFleetCase, casePayload).isOk()) {
-            if (p.task >= 0 &&
-                tasks[static_cast<std::size_t>(p.task)].st ==
-                    TaskState::kRunning)
-              failAttempt(static_cast<std::size_t>(p.task),
-                          WorkerExitCause::kConnReset, p.spec,
-                          "case upload failed");
-            failPeer(pi, "case upload failed");
-          }
-          return;
-        }
-        case ipc::kTypeFleetHeartbeat: {
-          Result<std::uint64_t> ep = decodeFleetHeartbeat(f.payload);
-          if (!ep.isOk()) {
-            failGarbage(pi, "bad heartbeat frame");
-            return;
-          }
-          // Heartbeats for reclaimed assignments are ignored: the peer is
-          // kLagging and stays out of the pool until its stale result lands.
-          if (isCurrent(p, ep.value()))
-            tasks[static_cast<std::size_t>(p.task)].deadline =
-                clock.seconds() + opt_.fleetLeaseSeconds;
-          return;
-        }
-        case ipc::kTypeFleetResult: {
-          Result<std::uint64_t> ep = peekFleetEpoch(f.payload);
-          if (!ep.isOk()) {
-            failGarbage(pi, "bad result envelope");
-            return;
-          }
-          if (!isCurrent(p, ep.value())) {
-            settleStale(pi, ep.value(), "result");
-            return;
-          }
-          const std::size_t k = static_cast<std::size_t>(p.task);
-          Result<WorkerPatch> decoded = decodeWorkerPatch(f.payload, base);
-          if (!decoded.isOk()) {
-            failAttempt(k, WorkerExitCause::kGarbageIpc, p.spec,
-                        decoded.status().message());
-            failPeer(pi, "undecodable result: " + decoded.status().message());
-            return;
-          }
-          tasks[k].patch.emplace(decoded.take());
-          tasks[k].st = TaskState::kDone;
-          tasks[k].peer = -1;
-          p.task = -1;
-          p.strikes = 0;
-          p.st = PeerState::kIdle;
-          return;
-        }
-        case ipc::kTypeFleetFailure: {
-          Result<FleetFailure> fail = decodeFleetFailure(f.payload);
-          if (!fail.isOk()) {
-            failGarbage(pi, "bad failure frame");
-            return;
-          }
-          if (!isCurrent(p, fail.value().epoch)) {
-            settleStale(pi, fail.value().epoch, "failure");
-            return;
-          }
-          const std::optional<WorkerExitCause> cause =
-              workerExitCauseFromName(fail.value().cause);
-          failAttempt(static_cast<std::size_t>(p.task),
-                      cause.value_or(WorkerExitCause::kCrash), p.spec,
-                      fail.value().detail);
-          // A contained failure report proves the agent itself is healthy.
-          p.task = -1;
-          p.strikes = 0;
-          p.st = PeerState::kIdle;
-          return;
-        }
-        default:
-          failGarbage(pi, "unexpected fleet frame type " +
-                              std::to_string(f.type));
-          return;
-      }
-    };
-
-    auto servicePeer = [&](std::size_t pi) {
-      FleetPeer& p = peers[pi];
-      if (p.fd < 0) return;
-      const ioretry::DrainOutcome dr =
-          ioretry::drainNonblockingRaw(p.fd, &p.rx);
-      const bool eof = dr.state == ioretry::DrainState::kEof;
-      const int derr =
-          dr.state == ioretry::DrainState::kError ? dr.err : 0;
-      while (p.fd >= 0) {
-        net::RecvOutcome out = net::takeFrame(&p.rx, eof, derr);
-        if (out.status == net::RecvStatus::kFrame) {
-          handleFrame(pi, out.frame);
-          continue;
-        }
-        if (out.status == net::RecvStatus::kTimeout) break;  // stream intact
-        WorkerExitCause cause = WorkerExitCause::kConnReset;
-        if (out.status == net::RecvStatus::kTruncated)
-          cause = WorkerExitCause::kFrameTruncated;
-        else if (out.status == net::RecvStatus::kGarbage)
-          cause = WorkerExitCause::kGarbageIpc;
-        const std::string why =
-            out.detail.empty() ? workerExitCauseName(cause) : out.detail;
-        if (p.task >= 0 &&
-            tasks[static_cast<std::size_t>(p.task)].st == TaskState::kRunning)
-          failAttempt(static_cast<std::size_t>(p.task), cause, p.spec, why);
-        else
-          fleetEvent(workerExitCauseName(cause), p.spec, 0, 0, why);
-        failPeer(pi, why);
-        break;
-      }
-    };
-
-    auto assignTask = [&](std::size_t k, std::size_t pi) {
-      FleetPeer& p = peers[pi];
-      FleetTask& t = tasks[k];
-      if (p.fd < 0) {
-        Result<int> fd =
-            net::connectTo(p.host, p.port, opt_.fleetConnectTimeoutMs);
-        if (!fd.isOk()) {
-          // The task never reached an agent, so no retry attempt is
-          // consumed: the refusal is the peer's failure, and enough of
-          // those kill the peer (and eventually degrade the fleet).
-          fleetEvent(workerExitCauseName(WorkerExitCause::kConnRefused),
-                     p.spec, failing[k], t.attemptsFailed,
-                     fd.status().message());
-          failPeer(pi, fd.status().message());
-          return;
-        }
-        p.fd = fd.take();
-        p.rx.clear();
-      }
-      FleetTaskRequest req;
-      req.output = failing[k];
-      req.attempt = t.attemptsFailed + 1;
-      req.epoch = ++epochCounter;
-      req.leaseSeconds = opt_.fleetLeaseSeconds;
-      req.caseCrc = caseCrc;
-      if (!net::sendFrame(p.fd, ipc::kTypeFleetTask,
-                          encodeFleetTaskRequest(req))
-               .isOk()) {
-        failAttempt(k, WorkerExitCause::kConnReset, p.spec,
-                    "task request send failed");
-        failPeer(pi, "task request send failed");
-        return;
-      }
-      t.st = TaskState::kRunning;
-      t.epoch = req.epoch;
-      t.peer = static_cast<int>(pi);
-      t.deadline = clock.seconds() + opt_.fleetLeaseSeconds;
-      p.st = PeerState::kBusy;
-      p.task = static_cast<int>(k);
-    };
-
-    while (nextCommit < tasks.size() && !interrupted) {
-      // Fleet-health phase: kLagging and kDead peers cannot take work, so
-      // only kIdle/kBusy count. Dropping below the threshold permanently
-      // degrades the run to in-process execution of the identical pure
-      // tasks - slower, never wrong, never aborted.
-      if (!degraded) {
-        std::size_t healthy = 0;
-        for (const FleetPeer& p : peers)
-          if (p.st == PeerState::kIdle || p.st == PeerState::kBusy) ++healthy;
-        if (healthy < static_cast<std::size_t>(opt_.fleetMinWorkers)) {
-          degraded = true;
-          fleetEvent("fleet-degraded", "", 0, 0,
-                     std::to_string(healthy) + " usable worker(s), minimum " +
-                         std::to_string(opt_.fleetMinWorkers) +
-                         "; continuing in-process");
-          std::fprintf(stderr,
-                       "[syseco] fleet degraded below --fleet-min-workers; "
-                       "continuing in-process\n");
-          for (FleetPeer& p : peers) {
-            if (p.task >= 0 &&
-                tasks[static_cast<std::size_t>(p.task)].st ==
-                    TaskState::kRunning) {
-              // Reclaimed without consuming a retry attempt: the supervisor
-              // is abandoning the agent, not the other way around.
-              tasks[static_cast<std::size_t>(p.task)].st = TaskState::kPending;
-              tasks[static_cast<std::size_t>(p.task)].peer = -1;
-            }
-            net::closeSocket(p.fd);
-            p.rx.clear();
-            p.task = -1;
-            p.st = PeerState::kDead;
-          }
-        }
-      }
-
-      const double now = clock.seconds();
-      const std::size_t horizon = std::min(tasks.size(), nextCommit + window);
-      bool computedLocally = false;
-
-      if (degraded) {
-        // One task per pass keeps commits (and checkpoints) flowing.
-        for (std::size_t k = nextCommit; k < horizon; ++k) {
-          FleetTask& t = tasks[k];
-          if (t.st != TaskState::kPending || t.notBefore > now) continue;
-          Result<WorkerPatch> r =
-              computeTask(base, spec_, workerOpt, failing[k], protect,
-                          baseAnalysis_, specAnalysis_);
-          computedLocally = true;
-          if (r.isOk()) {
-            t.patch.emplace(r.take());
-            t.st = TaskState::kDone;
-          } else {
-            failAttempt(k,
-                        r.status().code() == StatusCode::kBudgetExhausted
-                            ? WorkerExitCause::kOom
-                            : WorkerExitCause::kCrash,
-                        "local", r.status().message());
-          }
-          break;
-        }
-      } else {
-        // Launch phase: hand due pending tasks from the commit window to
-        // idle peers.
-        for (std::size_t k = nextCommit; k < horizon; ++k) {
-          if (tasks[k].st != TaskState::kPending || tasks[k].notBefore > now)
-            continue;
-          int pi = -1;
-          for (std::size_t i = 0; i < peers.size(); ++i)
-            if (peers[i].st == PeerState::kIdle) {
-              pi = static_cast<int>(i);
-              break;
-            }
-          if (pi < 0) break;
-          assignTask(k, static_cast<std::size_t>(pi));
-        }
-      }
-
-      if (!degraded) {
-        // Wait for a fleet event (or a backoff / lease tick).
-        std::vector<int> fds;
-        for (const FleetPeer& p : peers)
-          if (p.fd >= 0) fds.push_back(p.fd);
-        subprocess::pollReadable(fds, 20);
-
-        // Service phase: drain streams, dispatch frames, classify breaks.
-        for (std::size_t pi = 0; pi < peers.size(); ++pi) servicePeer(pi);
-
-        // Lease enforcement: an assignment with no heartbeat inside its
-        // lease is reclaimed. The connection is kept - the agent may still
-        // deliver a now-stale result, and discarding it by epoch is cheaper
-        // than resynchronizing a torn stream - but the peer stops counting
-        // toward fleet health until that happens.
-        const double tnow = clock.seconds();
-        for (std::size_t k = nextCommit; k < tasks.size(); ++k) {
-          FleetTask& t = tasks[k];
-          if (t.st != TaskState::kRunning || tnow <= t.deadline) continue;
-          const int pi = t.peer;
-          std::string worker;
-          if (pi >= 0) {
-            FleetPeer& p = peers[static_cast<std::size_t>(pi)];
-            worker = p.spec;
-            p.st = PeerState::kLagging;
-            p.staleEpoch = t.epoch;
-          }
-          failAttempt(k, WorkerExitCause::kLeaseExpired, worker,
-                      "no heartbeat within the lease");
-        }
-      } else if (!computedLocally) {
-        subprocess::pollReadable({}, 20);
-      }
-
-      // Commit phase: adopt finished tasks strictly in plan order through
-      // the same path the in-process speculative mode uses.
-      while (nextCommit < tasks.size() &&
-             tasks[nextCommit].st == TaskState::kDone) {
-        FleetTask& t = tasks[nextCommit];
-        const std::uint32_t o = failing[nextCommit];
-        bool reported = false;
-        if (t.quarantined) {
-          reported = commitQuarantined(o, t.attemptsFailed, t.lastCause);
-        } else if (t.patch && t.patch->produced) {
-          reported = commitWorker(o, *t.patch);
-          if (reported && t.attemptsFailed > 0) {
-            // The commit path reproduces the clean report; the supervisor
-            // grafts on what the retries cost.
-            diag_.outputs.back().workerFailedAttempts = t.attemptsFailed;
-            diag_.outputs.back().workerExitCause = t.lastCause;
-          }
-        }
-        t.patch.reset();
-        ++nextCommit;
-        // The committed patch crossed a network decode boundary before it
-        // touched the canonical netlist; audit what it left behind.
-        if (reported) auditBoundary("post-fleet-decode");
-        if (reported && opt_.checkpointHook) {
-          const RunCheckpoint cp{
-              diag_.outputs.back(),
-              diag_.outputs,
-              w,
-              tracker(),
-              diag_.outputs.size(),
-              plannedOutputs_,
-              restoredConflicts_ + rootGuard_.conflictsUsed() +
-                  extraConflicts_,
-              restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
-          if (!opt_.checkpointHook(cp)) {
-            interrupted = true;
-            break;
-          }
-        }
-      }
-    }
-    for (FleetPeer& p : peers) net::closeSocket(p.fd);
-    return interrupted;
-  }
-
-  /// Worker entry point: rectifies one output of the base snapshot this
-  /// engine was constructed with. `failingAll` is the full planned output
-  /// set - the worker protects every planned output the way the sequential
-  /// cascade protects still-unprocessed ones. Resources are unlimited
-  /// (speculation only runs on unlimited runs). Returns true when a report
-  /// was produced; the diagnostics fragment then holds exactly one entry.
-  bool rectifyAsWorker(std::uint32_t o,
-                       const std::vector<std::uint32_t>& failingAll) {
-    trackerStore_.emplace(result_.rectified);
-    tracker_ = &*trackerStore_;
-    failingSet_.insert(failingAll.begin(), failingAll.end());
-    ResourceGuard unlimited;
-    return rectifyOutput(o, unlimited);
-  }
-
-  /// Borrow the canonical engine's immutable analyses (base snapshot and
-  /// spec); must be called before rectifyAsWorker.
-  void setSharedAnalyses(const NetlistAnalysis* base,
-                         const NetlistAnalysis* spec) {
-    baseAnalysis_ = base;
-    specAnalysis_ = spec;
   }
 
   /// True while the working netlist is still byte-identical to the base
@@ -3649,7 +3561,7 @@ class Engine {
   std::optional<PatchTracker> trackerStore_;
   PatchTracker* tracker_ = nullptr;
   // Immutable shared structural analyses: the canonical engine owns them;
-  // worker engines borrow pointers (setSharedAnalyses).
+  // worker engines borrow pointers (computeTask).
   std::unique_ptr<NetlistAnalysis> ownedBaseAnalysis_;
   std::unique_ptr<NetlistAnalysis> ownedSpecAnalysis_;
   const NetlistAnalysis* baseAnalysis_ = nullptr;

@@ -143,6 +143,9 @@ struct SysecoOptions {
   /// patch, reports and journal are bit-identical for every jobs value.
   /// Runs with a deadline or budget use fair-share slicing, which is
   /// inherently schedule-dependent; they ignore jobs and stay sequential.
+  /// A worker that throws fails its attempt and is retried, then
+  /// quarantined, under the isolate retry knobs below - like every
+  /// executor.
   std::size_t jobs = 1;
 
   // --- Fault-contained subprocess isolation -------------------------------

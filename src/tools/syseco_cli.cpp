@@ -157,6 +157,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <iterator>
@@ -203,15 +204,27 @@ constexpr int kExitInterrupted = 130;  ///< 128 + SIGINT, journal intact
 /// First signal: finish the in-flight output, journal a clean interrupted
 /// record, exit kExitInterrupted. Second signal: give up immediately (the
 /// journal is still consistent - its last append either committed or will
-/// be dropped as a torn record on resume).
+/// be dropped as a torn record on resume). A repeat within
+/// kSignalRepeatNs is the first interrupt delivered twice - `timeout`
+/// signals the child and then its whole process group - not a second one.
 volatile std::sig_atomic_t gInterrupted = 0;
+std::atomic<std::int64_t> gFirstSignalNs{0};
+constexpr std::int64_t kSignalRepeatNs = 50'000'000;
 
 /// Agent-mode mirror of gInterrupted (the fleet agent polls a
 /// std::atomic<bool>; lock-free stores are async-signal-safe).
 std::atomic<bool> gAgentStop{false};
 
 void onSignal(int /*sig*/) {
-  if (gInterrupted) std::_Exit(kExitInterrupted);
+  timespec ts{};
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  const std::int64_t now = ts.tv_sec * 1'000'000'000LL + ts.tv_nsec;
+  if (gInterrupted) {
+    if (now - gFirstSignalNs.load() > kSignalRepeatNs)
+      std::_Exit(kExitInterrupted);
+    return;
+  }
+  gFirstSignalNs.store(now);
   gInterrupted = 1;
   gAgentStop.store(true, std::memory_order_relaxed);
 }

@@ -77,7 +77,10 @@ class ShimTest : public ChaosTest {
  protected:
   void SetUp() override {
     ChaosTest::SetUp();
-    dir_ = testDir("shim");
+    // One directory per test: ctest -j runs the shim tests concurrently.
+    dir_ = testDir(std::string("shim_") + ::testing::UnitTest::GetInstance()
+                                             ->current_test_info()
+                                             ->name());
     ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
     path_ = dir_ + "/target";
     fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

@@ -78,6 +78,23 @@ TEST(Tseitin, ConstantGates) {
             Solver::Result::Unsat);
 }
 
+TEST(TseitinDeathTest, CombinationalCycleFailsClosed) {
+  // Two gates feeding each other: encoding must stop on the invariant
+  // check instead of recursing until the stack overflows.
+  Netlist nl;
+  const NetId a = nl.addInput("a");
+  const NetId x = nl.addGate(GateType::And, {a, a});
+  const NetId y = nl.addGate(GateType::Or, {x, a});
+  nl.rewireGatePin(nl.driverOf(x), 1, y);
+  nl.addOutput("o", y);
+  ASSERT_FALSE(nl.isAcyclic());
+
+  Solver solver;
+  std::unordered_map<std::string, Var> inputVars;
+  NetlistEncoder enc(solver, nl, inputVars);
+  EXPECT_DEATH(enc.outputVar(0), "invariant violated.*combinational cycle");
+}
+
 TEST(Equivalence, DetectsEquivalentAndDifferentOutputs) {
   // f = a AND b vs g = NOT(NOT a OR NOT b): equivalent (De Morgan).
   Netlist c;

@@ -330,6 +330,26 @@ EcoCase isolateCase(std::uint64_t seed) {
   return makeCase(r);
 }
 
+/// The replay-cycle regression case, as committed in data/ (see its
+/// README): after earlier commits, the dirty-commit replay of outputs 14
+/// and 15 closes a combinational loop, which must be treated as a conflict
+/// and redone. The BLIF round trip reproduces the committed files' net
+/// numbering, which is what steers the search into the loop.
+EcoCase replayCycleCase() {
+  CaseRecipe r;
+  for (const CaseRecipe& s : suiteRecipes())
+    if (s.name == "eco02") r = s;
+  r.mutations = 1;
+  r.seed = 0x60fb1c09ee2cec09ULL;
+  EcoCase c = makeCase(r);
+  for (Netlist* n : {&c.impl, &c.spec}) {
+    std::stringstream blif;
+    writeBlif(blif, *n);
+    *n = readBlif(blif);
+  }
+  return c;
+}
+
 struct CapturedRun {
   EcoResult result;
   SysecoDiagnostics diag;
@@ -385,6 +405,41 @@ TEST_P(IsolateSeeds, IsolatedRunIsBitIdenticalToInProcess) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IsolateSeeds, ::testing::Values(11, 321));
+
+TEST(Isolate, ReplayCycleCaseIsBitIdenticalToInProcess) {
+  const EcoCase c = replayCycleCase();
+  expectIdenticalRuns(runCase(c, 2, /*isolate=*/false),
+                      runCase(c, 2, /*isolate=*/true));
+}
+
+TEST(Isolate, FailingTaskRetriesAndQuarantinesAlikeInEveryExecutor) {
+  // A task that throws fails its attempt whichever executor runs it: it
+  // is retried, then quarantined to the cone-clone fallback, and the run
+  // is identical across inline, threaded and forked execution.
+  const EcoCase c = isolateCase(11);
+  const CapturedRun clean = runCase(c, 2, /*isolate=*/false);
+  ASSERT_FALSE(clean.diag.outputs.empty());
+  const std::uint32_t victim = clean.diag.outputs.back().output;
+  fault::Injector::instance().arm("syseco.task.o" + std::to_string(victim),
+                                  fault::Kind::kOom);
+  const CapturedRun inline1 = runCase(c, 1, /*isolate=*/false);
+  const CapturedRun threads = runCase(c, 2, /*isolate=*/false);
+  const CapturedRun forked = runCase(c, 2, /*isolate=*/true);
+  fault::Injector::instance().reset();
+  expectIdenticalRuns(inline1, threads);
+  expectIdenticalRuns(threads, forked);
+  ASSERT_EQ(threads.diag.outputs.size(), clean.diag.outputs.size());
+  int seen = 0;
+  for (const OutputReport& r : threads.diag.outputs) {
+    if (r.output != victim) continue;
+    ++seen;
+    EXPECT_EQ(r.status, OutputRectStatus::kFallback);
+    EXPECT_EQ(r.limit, StatusCode::kBudgetExhausted);
+    EXPECT_EQ(r.workerExitCause, WorkerExitCause::kOom);
+    EXPECT_EQ(r.workerFailedAttempts, SysecoOptions{}.isolateMaxAttempts);
+  }
+  EXPECT_EQ(seen, 1);
+}
 
 TEST(Isolate, InvalidKnobsAreRejectedNotUndefined) {
   const EcoCase c = isolateCase(11);

@@ -11,12 +11,14 @@
 #include <future>
 #include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "eco/resume.hpp"
 #include "eco/syseco.hpp"
 #include "gen/eco_case.hpp"
+#include "io/blif_io.hpp"
 #include "io/journal_io.hpp"
 #include "netlist/analysis.hpp"
 #include "util/thread_pool.hpp"
@@ -144,6 +146,26 @@ EcoCase parallelCase(std::uint64_t seed) {
   return makeCase(r);
 }
 
+/// The replay-cycle regression case, as committed in data/ (see its
+/// README): after earlier commits, the dirty-commit replay of outputs 14
+/// and 15 closes a combinational loop, which must be treated as a conflict
+/// and redone. The BLIF round trip reproduces the committed files' net
+/// numbering, which is what steers the search into the loop.
+EcoCase replayCycleCase() {
+  CaseRecipe r;
+  for (const CaseRecipe& s : suiteRecipes())
+    if (s.name == "eco02") r = s;
+  r.mutations = 1;
+  r.seed = 0x60fb1c09ee2cec09ULL;
+  EcoCase c = makeCase(r);
+  for (Netlist* n : {&c.impl, &c.spec}) {
+    std::stringstream blif;
+    writeBlif(blif, *n);
+    *n = readBlif(blif);
+  }
+  return c;
+}
+
 /// Wall-clock fields are the only permitted difference between runs.
 std::string stripSeconds(std::string record) {
   static const std::regex kSeconds("\"seconds\":[0-9.eE+-]+");
@@ -225,6 +247,11 @@ TEST_P(ParallelSeeds, JobsFourIsBitIdenticalToJobsOne) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelSeeds,
                          ::testing::Values(11, 47, 321));
+
+TEST(Parallel, ReplayCycleCaseIsBitIdenticalAcrossJobs) {
+  const EcoCase c = replayCycleCase();
+  expectIdenticalRuns(runWithJobs(c, 1), runWithJobs(c, 4));
+}
 
 TEST(Parallel, JobsTwoIsBitIdenticalToJobsOne) {
   const EcoCase c = parallelCase(5150);
