@@ -59,7 +59,7 @@ RunSample runOnce(const EcoCase& c, std::size_t jobs) {
   s.phases = PhaseSeconds{diag.secondsSampling,   diag.secondsSymbolic,
                           diag.secondsScreening,  diag.secondsValidation,
                           diag.secondsFallback,   diag.secondsSweep,
-                          diag.secondsVerify};
+                          diag.secondsVerifyCpu};
   s.patch = r.stats;
   s.failingBefore = r.failingOutputsBefore;
   s.success = r.success;

@@ -304,9 +304,14 @@ print("verify-oracle: wrong patch caught, quarantined, bundle verified")
 PYEOF
 
 # The journaled verdict records must be bit-identical however the run was
-# executed: in-process --jobs, --isolate subprocess workers, and a
+# executed: in-process --jobs 1 and --jobs 4 (the oracle certifies output
+# pairs on --jobs threads), --isolate subprocess workers, and a
 # crash-then---resume chain of the same injected run.
 set +e
+SYSECO_FAULT_INJECT="oracle.wrong-patch=wrong-patch" \
+    "$CLI" --impl "$IMPL" --spec "$SPEC" --jobs 4 \
+    --journal "$SMOKE/j_wrong_j4" > "$SMOKE/oracle_j4.log" 2>&1
+[ $? -eq 4 ] || { echo "jobs-4 wrong-patch: expected exit 4"; exit 1; }
 SYSECO_FAULT_INJECT="oracle.wrong-patch=wrong-patch" \
     "$CLI" --impl "$IMPL" --spec "$SPEC" --jobs 4 --isolate \
     --journal "$SMOKE/j_wrong_iso" > "$SMOKE/oracle_iso.log" 2>&1
@@ -330,8 +335,11 @@ sys.stdout.write(recs[-1].decode())
 PYEOF
 }
 extract_verdicts "$SMOKE/j_wrong" > "$SMOKE/v_jobs.txt"
+extract_verdicts "$SMOKE/j_wrong_j4" > "$SMOKE/v_j4.txt"
 extract_verdicts "$SMOKE/j_wrong_iso" > "$SMOKE/v_iso.txt"
 extract_verdicts "$SMOKE/j_wrong_res" > "$SMOKE/v_res.txt"
+cmp "$SMOKE/v_jobs.txt" "$SMOKE/v_j4.txt" \
+    || { echo "--jobs 4 verdict record diverged"; exit 1; }
 cmp "$SMOKE/v_jobs.txt" "$SMOKE/v_iso.txt" \
     || { echo "--isolate verdict record diverged"; exit 1; }
 cmp "$SMOKE/v_jobs.txt" "$SMOKE/v_res.txt" \

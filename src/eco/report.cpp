@@ -27,7 +27,7 @@ void writeRunReport(std::ostream& os, const std::string& engine,
   os << "  \"cpu_seconds\": "
      << (diag.secondsSampling + diag.secondsSymbolic + diag.secondsScreening +
          diag.secondsValidation + diag.secondsFallback + diag.secondsSweep +
-         diag.secondsVerify)
+         diag.secondsVerifyCpu)
      << ",\n";
   os << "  \"patch\": {\"inputs\": " << result.stats.inputs
      << ", \"outputs\": " << result.stats.outputs
@@ -42,7 +42,7 @@ void writeRunReport(std::ostream& os, const std::string& engine,
      << ", \"validation\": " << diag.secondsValidation
      << ", \"fallback\": " << diag.secondsFallback
      << ", \"sweep\": " << diag.secondsSweep
-     << ", \"verify\": " << diag.secondsVerify << "},\n";
+     << ", \"verify\": " << diag.secondsVerifyCpu << "},\n";
   os << "  \"sweep\": {\"merges\": " << diag.sweepMerges
      << ", \"isop_rewrites\": " << diag.isopRewrites
      << ", \"isop_gates_saved\": " << diag.isopGatesSaved << "},\n";

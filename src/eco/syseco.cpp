@@ -1,6 +1,7 @@
 #include "eco/syseco.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <csignal>
@@ -8,10 +9,16 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bdd/bdd.hpp"
 #include "cnf/encode.hpp"
@@ -38,6 +45,29 @@
 namespace syseco {
 
 namespace {
+
+/// Makes the allocator hand memory back before the oracle's fan-out and
+/// while it runs. This is the one place the engine touches allocator
+/// settings, and only a process that certifies on more than one thread
+/// reaches it. glibc slides its mmap and trim thresholds upward each time
+/// a large block is freed; with several certifying threads, every thread's
+/// arena then keeps tens of MiB of freed BDD tables and simulator words,
+/// and peak RSS grows with the thread count rather than with the work. So
+/// the first call pins both thresholds at glibc's own starting value
+/// (128 KiB) for the rest of the process, which keeps large blocks
+/// mmap-backed and lets arenas shrink, and every call returns what the
+/// earlier phases left in the arenas.
+void releaseMemoryForFanOut() {
+#if defined(__GLIBC__)
+  static std::once_flag pinned;
+  std::call_once(pinned, [] {
+    constexpr int kThreshold = 128 * 1024;
+    mallopt(M_MMAP_THRESHOLD, kThreshold);
+    mallopt(M_TRIM_THRESHOLD, kThreshold);
+  });
+  malloc_trim(0);
+#endif
+}
 
 /// Candidate rectification point with an error-domain observability score.
 /// Either a single sink pin of the failing output's cone (or the output
@@ -269,7 +299,9 @@ class Engine {
       } else {
         result_.success = verifyAllOutputs(result_.rectified, spec_);
       }
-      diag_.secondsVerify += verifyPhase.seconds();
+      const double verifyWall = verifyPhase.seconds();
+      diag_.secondsVerify += verifyWall;
+      diag_.secondsVerifyCpu += verifyWall;
     }
     result_.seconds = timer.seconds();
     return std::move(result_);
@@ -1451,14 +1483,87 @@ class Engine {
     oopt.bddReorder = opt_.bddReorder;
     oopt.bddCacheBits = opt_.bddCacheBits;
     oopt.bddReorderThreshold = opt_.bddReorderThreshold;
-    CertificationOracle oracle(w, spec_, oopt);
-    bool allCertified = true;
-    bool anyQuarantine = false;
-    diag_.certificates.clear();
+    const CertificationOracle oracle(w, spec_, oopt);
+
+    // Fan-out: the first-pass certificate of every label-matched pair, on
+    // up to `jobs` threads, each written to its own slot. The fault-site
+    // decisions are drawn here, serially in output order, so a scheduled
+    // "oracle.bdd" hit lands on the same output whatever the thread timing.
+    //
+    // Computing them all up front, before any quarantine below, returns
+    // the certificates the one-at-a-time loop would: a quarantine only
+    // rewires the refuted output to freshly cloned gates, so no other
+    // output's cone changes. The BDD and simulation routes read nothing
+    // but the output's own cone and the input list; the SAT route's
+    // verdict is a property of that cone pair too (the clones can at most
+    // lend its sweep extra equivalence hints). The netlist is not touched
+    // until every task has finished.
+    struct Pair {
+      std::uint32_t o = 0;
+      std::uint32_t op = 0;
+      std::optional<fault::Kind> bddFault;
+      OutputCertificate cert;
+    };
+    std::vector<Pair> pairs;
     for (std::uint32_t o = 0; o < w.numOutputs(); ++o) {
       const std::uint32_t op = specOutput(o);
       if (op == kNullId) continue;
-      OutputCertificate cert = oracle.certify(o, op);
+      Pair p;
+      p.o = o;
+      p.op = op;
+      p.bddFault = CertificationOracle::drawBddFault();
+      pairs.push_back(std::move(p));
+    }
+    // On several threads, largest pairs (impl + spec cone gates) first, so
+    // the longest certifications start at once instead of trailing at the
+    // end. Threads pull from this shared order (the pool's own deques
+    // would reorder submissions); one thread walks the pairs in order.
+    const std::size_t width = std::min(opt_.jobs, pairs.size());
+    std::vector<std::size_t> order(pairs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (width > 1) {
+      std::vector<std::size_t> cost;
+      for (const Pair& p : pairs)
+        cost.push_back(w.coneGates({w.outputNet(p.o)}).size() +
+                       spec_.coneGates({spec_.outputNet(p.op)}).size());
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                       });
+      releaseMemoryForFanOut();
+    }
+    std::atomic<std::size_t> next{0};
+    auto drain = [&] {
+      for (std::size_t k; (k = next.fetch_add(1)) < order.size();) {
+        Pair& p = pairs[order[k]];
+        p.cert = oracle.certify(p.o, p.op, p.bddFault);
+      }
+    };
+    const Timer fanOut;
+    {
+      // Joined before this scope ends: the forked executor relies on a
+      // thread-free process between runs.
+      ThreadPool pool(width > 1 ? width : 0);
+      std::vector<std::future<void>> drains;
+      for (std::size_t t = 0; t < std::max<std::size_t>(width, 1); ++t)
+        drains.push_back(pool.submit(drain));
+      for (std::future<void>& f : drains) f.get();
+    }
+    // --report's CPU figures sum across threads: count the fan-out at its
+    // summed per-certificate time instead of its wall time.
+    double fanOutCpu = 0.0;
+    for (const Pair& p : pairs) fanOutCpu += p.cert.seconds();
+    diag_.secondsVerifyCpu += fanOutCpu - fanOut.seconds();
+
+    // Serial consume, in output order: disagreement records, repro bundles,
+    // quarantine and re-certification exactly as one output at a time.
+    bool allCertified = true;
+    bool anyQuarantine = false;
+    diag_.certificates.clear();
+    for (Pair& p : pairs) {
+      const std::uint32_t o = p.o;
+      const std::uint32_t op = p.op;
+      OutputCertificate cert = std::move(p.cert);
       const bool refuted =
           cert.sat.verdict == RouteVerdict::kNotEquivalent ||
           cert.bdd.verdict == RouteVerdict::kNotEquivalent ||
@@ -1486,7 +1591,7 @@ class Engine {
         anyQuarantine = true;
         if (opt_.audit == AuditLevel::kParanoid)
           auditBoundary("post-quarantine");
-        cert = oracle.certify(o, op);
+        cert = oracle.certify(o, op, CertificationOracle::drawBddFault());
         diag_.oracleDisagreements.push_back(std::move(d));
       }
       if (!cert.certified) allCertified = false;

@@ -365,7 +365,11 @@ struct SysecoDiagnostics {
   double secondsValidation = 0.0;  ///< SAT validation of choices
   double secondsFallback = 0.0;    ///< matched cone cloning
   double secondsSweep = 0.0;       ///< patch-input refinement
-  double secondsVerify = 0.0;      ///< final full verification
+  double secondsVerify = 0.0;      ///< final full verification (wall)
+  /// The same phase with the oracle's parallel fan-out counted as its
+  /// summed per-certificate time (routes + cex minimization) rather than
+  /// its wall time, like the other phases' cross-thread totals.
+  double secondsVerifyCpu = 0.0;
 
   // Certification-oracle + audit accounting (empty when the oracle is
   // disabled / audits are off).

@@ -108,7 +108,7 @@ InputPattern CertificationOracle::mapToSpec(
 }
 
 RouteResult CertificationOracle::satRoute(std::uint32_t o, std::uint32_t op,
-                                          InputPattern* cex) {
+                                          InputPattern* cex) const {
   const Clock::time_point start = Clock::now();
   RouteResult result;
   // A fresh encoding: nothing (variable numbering, learned clauses, sweep
@@ -138,15 +138,15 @@ RouteResult CertificationOracle::satRoute(std::uint32_t o, std::uint32_t op,
 }
 
 RouteResult CertificationOracle::bddRoute(std::uint32_t o, std::uint32_t op,
+                                          std::optional<fault::Kind> injected,
                                           InputPattern* cex,
-                                          BddStats* stats) {
+                                          BddStats* stats) const {
   const Clock::time_point start = Clock::now();
   RouteResult result;
   // Deterministic budget-trip injection for the skipped(budget) tests: the
   // route must behave exactly as if the node limit fired mid-build.
-  if (const auto kind = fault::fire("oracle.bdd");
-      kind == fault::Kind::kBddBlowup ||
-      kind == fault::Kind::kBudgetExhausted) {
+  if (injected == fault::Kind::kBddBlowup ||
+      injected == fault::Kind::kBudgetExhausted) {
     result.verdict = RouteVerdict::kSkippedBudget;
     result.detail = "node budget exceeded (fault-injected)";
     result.seconds = secondsSince(start);
@@ -234,7 +234,7 @@ RouteResult CertificationOracle::bddRoute(std::uint32_t o, std::uint32_t op,
 }
 
 RouteResult CertificationOracle::simRoute(std::uint32_t o, std::uint32_t op,
-                                          InputPattern* cex) {
+                                          InputPattern* cex) const {
   const Clock::time_point start = Clock::now();
   RouteResult result;
   const std::size_t words = opt_.simWords ? opt_.simWords : 1;
@@ -325,14 +325,15 @@ RouteResult CertificationOracle::simRoute(std::uint32_t o, std::uint32_t op,
   return result;
 }
 
-OutputCertificate CertificationOracle::certify(std::uint32_t o,
-                                               std::uint32_t op) {
+OutputCertificate CertificationOracle::certify(
+    std::uint32_t o, std::uint32_t op,
+    std::optional<fault::Kind> bddFault) const {
   OutputCertificate cert;
   cert.output = o;
   cert.name = impl_.outputName(o);
   InputPattern satCex, bddCex, simCex;
   cert.sat = satRoute(o, op, &satCex);
-  cert.bdd = bddRoute(o, op, &bddCex, &cert.bddStats);
+  cert.bdd = bddRoute(o, op, bddFault, &bddCex, &cert.bddStats);
   cert.sim = simRoute(o, op, &simCex);
 
   int provers = 0;
@@ -344,6 +345,7 @@ OutputCertificate CertificationOracle::certify(std::uint32_t o,
   cert.certified = provers >= 1 && refuters == 0;
   cert.routesConflict = provers >= 1 && refuters >= 1;
   if (refuters > 0) {
+    const Clock::time_point start = Clock::now();
     // Prefer the first refuting route whose counterexample the simulator
     // reproduces; a non-reproducing cex is kept but flagged.
     for (const InputPattern* candidate : {&simCex, &satCex, &bddCex}) {
@@ -359,6 +361,7 @@ OutputCertificate CertificationOracle::certify(std::uint32_t o,
     }
     cert.cexDeviations = 0;
     for (std::uint8_t b : cert.cex) cert.cexDeviations += b ? 1 : 0;
+    cert.cexSeconds = secondsSince(start);
   }
   return cert;
 }

@@ -23,14 +23,30 @@
 // OracleDisagreement: the counterexample is ddmin-shrunk against the
 // simulator and handed to the caller for repro-bundle packaging and
 // quarantine.
+//
+// Thread safety: certify() is const and every call builds its own
+// PairEncoding, BDD manager and simulators, with RNG seeds derived only
+// from (options.seed, output). One oracle may therefore certify different
+// outputs on several threads at once, as long as nobody mutates the
+// borrowed netlists meanwhile.
+//
+// Fault-injection order: the BDD route's "oracle.bdd" site is drawn by the
+// caller (drawBddFault) rather than inside the route, so the hit ordinals
+// never depend on thread timing. The engine draws once per certification:
+// first the first-pass certification of every label-matched pair in impl
+// output order (serially, before the parallel fan-out), then one draw per
+// quarantined output's re-certification, again in output order. The
+// sequence is the same for every --jobs value.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/simulator.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace syseco {
@@ -94,10 +110,16 @@ struct OutputCertificate {
   InputPattern cex;
   std::size_t cexDeviations = 0;  ///< nonzero bits after minimization
   bool cexReproduced = false;     ///< simulator confirmed the mismatch
+  double cexSeconds = 0.0;        ///< counterexample minimization time
   /// BDD-route engine telemetry (peak nodes, cache hit rate, reorders) for
   /// the --report observability block; zeros when the route never built a
   /// manager (fault-injected skip).
   BddStats bddStats;
+
+  /// Time the certification took: the three routes plus minimization.
+  double seconds() const {
+    return sat.seconds + bdd.seconds + sim.seconds + cexSeconds;
+  }
 };
 
 /// A certified-wrong patch: the engine committed this output as correct,
@@ -119,22 +141,38 @@ class CertificationOracle {
                       const OracleOptions& options);
 
   /// Certifies impl output `o` against spec output `op` (label-matched by
-  /// the caller). Deterministic in (netlists, options).
-  OutputCertificate certify(std::uint32_t o, std::uint32_t op);
+  /// the caller). Deterministic in (netlists, options, bddFault).
+  /// `bddFault` is the pre-drawn "oracle.bdd" decision (drawBddFault).
+  OutputCertificate certify(std::uint32_t o, std::uint32_t op,
+                            std::optional<fault::Kind> bddFault) const;
+
+  /// certify() drawing its own "oracle.bdd" decision, for serial callers.
+  OutputCertificate certify(std::uint32_t o, std::uint32_t op) const {
+    return certify(o, op, drawBddFault());
+  }
+
+  /// One hit of the "oracle.bdd" injection site: the fault the next
+  /// certification's BDD route must act on, if any.
+  static std::optional<fault::Kind> drawBddFault() {
+    return fault::fire("oracle.bdd");
+  }
 
   /// Maps an impl-input pattern to the spec's input order by label; spec
   /// inputs with no impl counterpart read 0.
   InputPattern mapToSpec(const InputPattern& implPattern) const;
 
  private:
-  RouteResult satRoute(std::uint32_t o, std::uint32_t op, InputPattern* cex);
-  RouteResult bddRoute(std::uint32_t o, std::uint32_t op, InputPattern* cex,
-                       BddStats* stats = nullptr);
-  RouteResult simRoute(std::uint32_t o, std::uint32_t op, InputPattern* cex);
+  RouteResult satRoute(std::uint32_t o, std::uint32_t op,
+                       InputPattern* cex) const;
+  RouteResult bddRoute(std::uint32_t o, std::uint32_t op,
+                       std::optional<fault::Kind> injected, InputPattern* cex,
+                       BddStats* stats) const;
+  RouteResult simRoute(std::uint32_t o, std::uint32_t op,
+                       InputPattern* cex) const;
 
   const Netlist& impl_;
   const Netlist& spec_;
-  OracleOptions opt_;
+  const OracleOptions opt_;
   /// Per spec input: impl input index providing its value, or kNullId.
   std::vector<std::uint32_t> specInputFromImpl_;
 };

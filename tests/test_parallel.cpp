@@ -17,6 +17,7 @@
 
 #include "eco/resume.hpp"
 #include "eco/syseco.hpp"
+#include "expect_certificates.hpp"
 #include "gen/eco_case.hpp"
 #include "io/blif_io.hpp"
 #include "io/journal_io.hpp"
@@ -230,6 +231,12 @@ void expectIdenticalRuns(const CapturedRun& a, const CapturedRun& b) {
   EXPECT_EQ(a.diag.candidatesValidated, b.diag.candidatesValidated);
   EXPECT_EQ(a.diag.candidatesRefuted, b.diag.candidatesRefuted);
   EXPECT_EQ(a.diag.sweepMerges, b.diag.sweepMerges);
+  // Oracle: certificates are computed on up to `jobs` threads but must
+  // come back identical, in output order.
+  ASSERT_FALSE(a.diag.certificates.empty());
+  expectSameCertificates(a.diag.certificates, b.diag.certificates);
+  expectSameDisagreements(a.diag.oracleDisagreements,
+                          b.diag.oracleDisagreements);
   // Journal: byte-identical records once timing is masked.
   ASSERT_EQ(a.journal.size(), b.journal.size());
   for (std::size_t i = 0; i < a.journal.size(); ++i)

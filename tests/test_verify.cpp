@@ -17,6 +17,7 @@
 
 #include "eco/resume.hpp"
 #include "eco/syseco.hpp"
+#include "expect_certificates.hpp"
 #include "io/blif_io.hpp"
 #include "io/journal_io.hpp"
 #include "netlist/netlist.hpp"
@@ -533,6 +534,64 @@ TEST_F(VerifyTest, VerdictRecordsAreIdenticalAcrossJobsCounts) {
     serialized[round] = serializeVerdicts(makeVerdictsRecord(diag));
   }
   EXPECT_EQ(serialized[0], serialized[1]);
+}
+
+// --- The parallel fan-out: identical verdicts for every jobs value -------
+
+TEST_F(VerifyTest, WrongPatchQuarantineIsIdenticalAcrossJobsCounts) {
+  SysecoDiagnostics diag[2];
+  std::string dump[2];
+  for (int round = 0; round < 2; ++round) {
+    fault::Injector::instance().reset();
+    fault::Injector::instance().arm("oracle.wrong-patch",
+                                    fault::Kind::kWrongPatch);
+    SysecoOptions opt;
+    opt.jobs = round == 0 ? 1 : 4;
+    const EcoResult res = runSyseco(aluImpl(), aluSpec(), opt, &diag[round]);
+    ASSERT_TRUE(res.success);
+    dump[round] = res.rectified.dumpRawString();
+  }
+  ASSERT_EQ(diag[0].oracleDisagreements.size(), 1u);
+  expectSameDisagreements(diag[0].oracleDisagreements,
+                          diag[1].oracleDisagreements);
+  expectSameCertificates(diag[0].certificates, diag[1].certificates);
+  EXPECT_EQ(dump[0], dump[1]);
+  // The same output, and only that one, was quarantined in both runs.
+  for (const SysecoDiagnostics& d : diag) {
+    std::vector<std::uint32_t> quarantined;
+    for (const OutputReport& r : d.outputs)
+      if (r.status == OutputRectStatus::kFallback &&
+          r.limit == StatusCode::kInternal)
+        quarantined.push_back(r.output);
+    EXPECT_EQ(quarantined,
+              std::vector<std::uint32_t>{d.oracleDisagreements[0].output});
+  }
+}
+
+TEST_F(VerifyTest, ScheduledBddTripHitsTheSameOutputAtEveryJobsCount) {
+  // One-shot trip at the third "oracle.bdd" hit: draws happen serially in
+  // output order, so it must land on the third certified pair however many
+  // threads then run the routes.
+  constexpr std::size_t kHit = 2;
+  SysecoDiagnostics diag[2];
+  for (int round = 0; round < 2; ++round) {
+    fault::Injector::instance().reset();
+    fault::Injector::instance().schedule("oracle.bdd",
+                                         fault::Kind::kBddBlowup, kHit);
+    SysecoOptions opt;
+    opt.jobs = round == 0 ? 1 : 4;
+    const EcoResult res = runSyseco(aluImpl(), aluSpec(), opt, &diag[round]);
+    ASSERT_TRUE(res.success);
+    ASSERT_GT(diag[round].certificates.size(), kHit);
+    for (std::size_t i = 0; i < diag[round].certificates.size(); ++i) {
+      const OutputCertificate& c = diag[round].certificates[i];
+      EXPECT_EQ(c.bdd.verdict == RouteVerdict::kSkippedBudget, i == kHit)
+          << "jobs " << opt.jobs << " certificate " << i << ": "
+          << c.bdd.detail;
+      EXPECT_TRUE(c.certified) << c.name;
+    }
+  }
+  expectSameCertificates(diag[0].certificates, diag[1].certificates);
 }
 
 }  // namespace
