@@ -1,8 +1,8 @@
 // End-to-end perf trajectory: the syseco cascade on the bundled example
 // cases at --jobs 1/2/4, emitting BENCH_e2e.json (wall time and aggregate
-// worker-CPU per-phase breakdown recorded separately, patch sizes,
-// speedups, and a determinism cross-check) so every future change has a
-// recorded baseline to compare against.
+// worker-CPU per-phase breakdown recorded separately, discarded
+// speculation, patch sizes, speedups, and a determinism cross-check) so
+// every future change has a recorded baseline to compare against.
 //
 // Usage: bench_e2e [--quick] [--out PATH]
 //   --quick  run a 3-case subset with one repetition (CI smoke)
@@ -41,6 +41,8 @@ struct RunSample {
   std::size_t jobs = 0;
   double wallSeconds = 0;
   PhaseSeconds phases;
+  std::size_t frontierSkippedTasks = 0;  ///< speculation never started
+  double discardedSeconds = 0;  ///< speculation computed, then thrown away
   PatchStats patch;
   std::size_t failingBefore = 0;
   bool success = false;
@@ -60,6 +62,8 @@ RunSample runOnce(const EcoCase& c, std::size_t jobs) {
                           diag.secondsScreening,  diag.secondsValidation,
                           diag.secondsFallback,   diag.secondsSweep,
                           diag.secondsVerifyCpu};
+  s.frontierSkippedTasks = diag.frontierSkippedTasks;
+  s.discardedSeconds = diag.secondsDiscardedSpeculation;
   s.patch = r.stats;
   s.failingBefore = r.failingOutputsBefore;
   s.success = r.success;
@@ -164,6 +168,11 @@ int main(int argc, char** argv) {
                    s.success ? "true" : "false",
                    identical ? "true" : "false");
       printPhases(f, s.phases);
+      // Discarded speculation is outside phases_cpu (adopted work only).
+      std::fprintf(f,
+                   ", \"speculation\": {\"frontier_skipped_tasks\": %zu, "
+                   "\"discarded_seconds\": %.4f}",
+                   s.frontierSkippedTasks, s.discardedSeconds);
       std::fprintf(f, "}%s\n", k + 1 < best.size() ? "," : "");
     }
     std::fprintf(f, "     ]}%s\n", ci + 1 < cases.size() ? "," : "");

@@ -43,6 +43,13 @@ void writeRunReport(std::ostream& os, const std::string& engine,
      << ", \"fallback\": " << diag.secondsFallback
      << ", \"sweep\": " << diag.secondsSweep
      << ", \"verify\": " << diag.secondsVerifyCpu << "},\n";
+  // Speculative work thrown away (not in the phase totals above). Both
+  // figures depend on task scheduling, so - like timing - they differ
+  // across --jobs, --isolate and --resume runs of the same case.
+  os << "  \"speculation\": {\"frontier_skipped_tasks\": "
+     << diag.frontierSkippedTasks
+     << ", \"discarded_seconds\": " << diag.secondsDiscardedSpeculation
+     << "},\n";
   os << "  \"sweep\": {\"merges\": " << diag.sweepMerges
      << ", \"isop_rewrites\": " << diag.isopRewrites
      << ", \"isop_gates_saved\": " << diag.isopGatesSaved << "},\n";

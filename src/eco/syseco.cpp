@@ -397,16 +397,21 @@ class Engine {
     /// due next for commit; when it is not running, the executor may idle
     /// up to `idleSeconds` (its retry backoff).
     virtual void wait(std::size_t focus, double idleSeconds) = 0;
+    /// Gives up on the task in `slot`: its outcome, if one still comes, is
+    /// ignored. True when the task had not started and now never will.
+    /// The default lets it finish (a fleet agent then rejoins the pool
+    /// exactly as after any result).
+    virtual bool abandon(std::size_t /*slot*/) { return false; }
     /// Non-empty (the reason) once the transport can take no more work.
     virtual std::string lost() const { return {}; }
     /// Stops every running task; their results are abandoned.
     virtual void cancelAll() = 0;
   };
 
-  /// In-process threads: the whole window is queued on a work-stealing
-  /// pool and the supervisor blocks on the task due next for commit. With
-  /// zero threads every task runs inline at launch with a window of 1 -
-  /// the jobs = 1 run and the degraded fleet.
+  /// In-process threads: the whole window is queued, in plan order, on the
+  /// FIFO pool and the supervisor blocks on the task due next for commit.
+  /// With zero threads every task runs inline at launch with a window of
+  /// 1 - the jobs = 1 run and the degraded fleet.
   class ThreadExecutor final : public TaskExecutor {
    public:
     ThreadExecutor(const Engine& eng, const TaskContext& ctx,
@@ -417,6 +422,7 @@ class Engine {
           window_(threads > 0 ? std::max<std::size_t>(2 * threads, 4) : 1),
           results_(slots),
           futures_(slots),
+          starts_(slots),
           pool_(threads) {}
     ~ThreadExecutor() override { cancelAll(); }
 
@@ -425,12 +431,23 @@ class Engine {
 
     bool launch(std::size_t slot, std::uint32_t output, int) override {
       std::optional<Result<WorkerPatch>>* out = &results_[slot];
-      futures_[slot] = pool_.submit([this, out, output] {
+      std::atomic<Start>* start = &starts_[slot];
+      start->store(Start::kQueued);
+      futures_[slot] = pool_.submit([this, out, start, output] {
+        Start queued = Start::kQueued;
+        if (!start->compare_exchange_strong(queued, Start::kStarted)) return;
         out->emplace(computeTask(ctx_.base, eng_.spec_, ctx_.workerOpt,
                                  output, ctx_.protect, eng_.baseAnalysis_,
                                  eng_.specAnalysis_));
       });
       return true;
+    }
+
+    /// A still-queued task is skipped when its turn comes; a running one
+    /// finishes into a slot nobody reads.
+    bool abandon(std::size_t slot) override {
+      Start queued = Start::kQueued;
+      return starts_[slot].compare_exchange_strong(queued, Start::kAbandoned);
     }
 
     void wait(std::size_t focus, double idleSeconds) override {
@@ -466,12 +483,15 @@ class Engine {
     }
 
    private:
+    enum class Start : std::uint8_t { kQueued, kStarted, kAbandoned };
+
     const Engine& eng_;
     const TaskContext ctx_;
     const Report report_;
     const std::size_t window_;
     std::vector<std::optional<Result<WorkerPatch>>> results_;
     std::vector<std::future<void>> futures_;
+    std::vector<std::atomic<Start>> starts_;
     ThreadPool pool_;  ///< last: joins before the slots its tasks write
   };
 
@@ -552,12 +572,17 @@ class Engine {
       }
     }
 
-    void cancelAll() override {
-      for (Kid& kid : kids_) {
-        if (!kid.proc.valid()) continue;
+    bool abandon(std::size_t slot) override {
+      Kid& kid = kids_[slot];
+      if (kid.proc.valid()) {
         subprocess::terminateChild(kid.proc.pid, 0.2);
         release(kid);
       }
+      return false;
+    }
+
+    void cancelAll() override {
+      for (std::size_t k = 0; k < kids_.size(); ++k) abandon(k);
     }
 
    private:
@@ -1085,6 +1110,14 @@ class Engine {
   /// that exhausts isolateMaxAttempts is quarantined to the cone-clone
   /// fallback. A fleet that drops below fleetMinWorkers degrades to the
   /// inline in-process executor - slower, never wrong, never aborted.
+  ///
+  /// Earlier commits often fix later outputs for free (global favoring).
+  /// That is decided once per output, when it becomes the commit frontier
+  /// - every earlier output has committed, so the canonical netlist it
+  /// reads is final - and before its task is launched or waited on. A
+  /// fixed output commits a no-op at once: its task never starts (jobs 1,
+  /// and any still-pending slot) or is abandoned, and whatever the task
+  /// did - failed attempts, quarantine - never reaches its report.
   /// Returns true when a checkpoint hook interrupted the run.
   bool runSupervised(const std::vector<std::uint32_t>& failing,
                      const ResumePlan* plan) {
@@ -1112,8 +1145,12 @@ class Engine {
     std::vector<Slot> slots(failing.size());
     const bool fleet = !opt_.workers.empty();
     Timer clock;
+    std::size_t nextCommit = 0;
 
     const TaskExecutor::Report report = [&](TaskOutcome ev) {
+      // A slot behind the frontier was committed as already fixed; its
+      // abandoned task's outcome means nothing.
+      if (ev.slot < nextCommit) return;
       Slot& s = slots[ev.slot];
       const std::uint32_t o = failing[ev.slot];
       if (ev.patch) {
@@ -1159,9 +1196,52 @@ class Engine {
           *this, ctx, slots.size(), opt_.jobs > 1 ? opt_.jobs : 0, report);
     }
 
-    std::size_t nextCommit = 0;
+    // Commit-time state of the output at the frontier, once decided.
+    std::optional<FrontierCheck> frontier;
     bool interrupted = false;
-    while (nextCommit < slots.size() && !interrupted) {
+    while (!interrupted) {
+      // Commit phase: decide each output as it becomes the frontier, then
+      // adopt finished tasks strictly in plan order.
+      while (nextCommit < slots.size()) {
+        Slot& s = slots[nextCommit];
+        const std::uint32_t o = failing[nextCommit];
+        if (!frontier) {
+          frontier.emplace(opt_.seed, o);
+          frontier->fixed = frontierFixed(o, *frontier);
+        }
+        bool reported = false;
+        if (frontier->fixed) {
+          if (s.st == SlotState::kPending ||
+              (s.st == SlotState::kRunning && exec->abandon(nextCommit)))
+            ++diag_.frontierSkippedTasks;
+          else if (s.patch && s.patch->produced)
+            diag_.secondsDiscardedSpeculation += workerPhaseSeconds(*s.patch);
+          s.st = SlotState::kDone;
+          reported = commitAlreadyFixed(o, *frontier);
+        } else if (s.st != SlotState::kDone) {
+          break;
+        } else if (s.quarantined) {
+          reported =
+              commitQuarantined(o, s.attemptsFailed, s.lastCause, *frontier);
+        } else if (s.patch->produced) {
+          reported = commitWorker(o, *s.patch, *frontier);
+          if (reported && s.attemptsFailed > 0) {
+            // The commit path reproduces the clean report; the supervisor
+            // grafts on what the retries cost.
+            diag_.outputs.back().workerFailedAttempts = s.attemptsFailed;
+            diag_.outputs.back().workerExitCause = s.lastCause;
+          }
+        }
+        s.patch.reset();
+        frontier.reset();
+        ++nextCommit;
+        if (reported && !checkpointCommit(auditPhase)) {
+          interrupted = true;
+          break;
+        }
+      }
+      if (interrupted || nextCommit == slots.size()) break;
+
       const std::string lost = exec->lost();
       if (!lost.empty()) {
         fleetEvent("fleet-degraded", "", 0, 0,
@@ -1192,45 +1272,72 @@ class Engine {
       const double backoffLeft =
           due.st == SlotState::kPending ? due.notBefore - clock.seconds() : 0.0;
       exec->wait(nextCommit, std::max(0.0, backoffLeft));
-
-      // Commit phase: adopt finished tasks strictly in plan order.
-      while (nextCommit < slots.size() &&
-             slots[nextCommit].st == SlotState::kDone) {
-        Slot& s = slots[nextCommit];
-        const std::uint32_t o = failing[nextCommit];
-        bool reported = false;
-        if (s.quarantined) {
-          reported = commitQuarantined(o, s.attemptsFailed, s.lastCause);
-        } else if (s.patch->produced) {
-          reported = commitWorker(o, *s.patch);
-          if (reported && s.attemptsFailed > 0) {
-            // The commit path reproduces the clean report; the supervisor
-            // grafts on what the retries cost.
-            diag_.outputs.back().workerFailedAttempts = s.attemptsFailed;
-            diag_.outputs.back().workerExitCause = s.lastCause;
-          }
-        }
-        s.patch.reset();
-        ++nextCommit;
-        if (reported && !checkpointCommit(auditPhase)) {
-          interrupted = true;
-          break;
-        }
-      }
     }
     exec->cancelAll();
     return interrupted;
   }
 
+  /// The commit-time state of the output at the commit frontier: the
+  /// per-output commit RNG and the unlimited guard that every commit-time
+  /// solve for it draws from and charges, whichever commit path it takes.
+  struct FrontierCheck {
+    FrontierCheck(std::uint64_t runSeed, std::uint32_t o)
+        : rng(runSeed ^
+              (0xc2b2ae3d27d4eb4fULL * (static_cast<std::uint64_t>(o) + 1))) {}
+    Rng rng;
+    ResourceGuard guard;
+    Timer timer;
+    bool fixed = false;  ///< already fixed on the canonical netlist
+  };
+
+  /// True when earlier commits already fixed output `o` - the sequential
+  /// cascade's global favoring, the same query as rectifyOutput's own
+  /// already-fixed fast path. Only a dirty canonical netlist can have: on
+  /// the untouched base every planned output is failing.
+  bool frontierFixed(std::uint32_t o, FrontierCheck& check) {
+    const std::uint32_t op = specOutput(o);
+    if (op == kNullId || tracker().rewires().empty()) return false;
+    Timer phase;
+    PairEncoding pe(working(), spec_);
+    pe.setResourceGuard(&check.guard);
+    const bool fixed = pe.solveDiffSwept(o, op, opt_.validationBudget,
+                                         check.rng) == Solver::Result::Unsat;
+    diag_.secondsSampling += phase.seconds();
+    return fixed;
+  }
+
+  /// Commits the no-op of an output found already fixed at the frontier.
+  bool commitAlreadyFixed(std::uint32_t o, const FrontierCheck& check) {
+    OutputReport report;
+    report.output = o;
+    report.name = working().outputName(o);
+    report.conflictsUsed = check.guard.conflictsUsed();
+    report.bddNodesUsed = check.guard.bddNodesUsed();
+    report.seconds = check.timer.seconds();
+    failingSet_.erase(o);
+    pushCommittedReport(std::move(report));
+    return true;
+  }
+
+  /// The search phase-seconds a worker spent on its result (what
+  /// mergeWorkerDiag adds to the run totals when the result is adopted).
+  static double workerPhaseSeconds(const WorkerPatch& patch) {
+    const SysecoDiagnostics& f = patch.frag;
+    return f.secondsSampling + f.secondsSymbolic + f.secondsScreening +
+           f.secondsValidation + f.secondsFallback;
+  }
+
   /// Applies one worker's speculative result to the canonical netlist,
-  /// reproducing the sequential cascade's semantics at commit time:
-  /// already-fixed outputs commit nothing, and a patch invalidated by
-  /// earlier commits is discarded and redone against the canonical state.
-  /// All commit-time solving uses a per-output commit RNG and an unlimited
-  /// local guard, so the decision depends only on (seed, output, canonical
-  /// netlist) - never on scheduling or on which executor ran the worker.
-  /// Returns true when a report was pushed.
-  bool commitWorker(std::uint32_t o, const WorkerPatch& patch) {
+  /// reproducing the sequential cascade's semantics at commit time: a
+  /// patch invalidated by earlier commits is discarded and redone against
+  /// the canonical state. (Already-fixed outputs never get here: they
+  /// commit a no-op at the frontier.) All commit-time solving continues the
+  /// frontier check's per-output commit RNG and unlimited guard, so the
+  /// decision depends only on (seed, output, canonical netlist) - never on
+  /// scheduling or on which executor ran the worker. Returns true when a
+  /// report was pushed.
+  bool commitWorker(std::uint32_t o, const WorkerPatch& patch,
+                    FrontierCheck& check) {
     const std::uint32_t op = specOutput(o);
     if (op == kNullId) return false;
     Netlist& w = working();
@@ -1239,15 +1346,14 @@ class Engine {
     // none did, the worker's search *is* the sequential search and its
     // result is adopted verbatim.
     const bool dirty = !tracker().rewires().empty();
-    Rng commitRng(opt_.seed ^ (0xc2b2ae3d27d4eb4fULL *
-                               (static_cast<std::uint64_t>(o) + 1)));
-    ResourceGuard commitGuard;
-    Timer commitTimer;
+    Rng& commitRng = check.rng;
+    ResourceGuard& commitGuard = check.guard;
 
     // Discards the speculative patch and redoes the output sequentially
     // against the current canonical state - the sequential cascade's exact
     // view - charging the commit-time checks to its report.
     auto redo = [&] {
+      diag_.secondsDiscardedSpeculation += workerPhaseSeconds(patch);
       ResourceGuard redoGuard;
       const bool reported = rectifyOutput(o, redoGuard);
       if (reported) {
@@ -1261,28 +1367,6 @@ class Engine {
     };
 
     if (dirty) {
-      // Earlier patches may have fixed this output already (the sequential
-      // cascade's global favoring); the speculative patch is then discarded
-      // in favor of the cheaper no-op, exactly like rectifyOutput's own
-      // already-fixed fast path.
-      Timer phase;
-      PairEncoding pe(w, spec_);
-      pe.setResourceGuard(&commitGuard);
-      const bool fixed = pe.solveDiffSwept(o, op, opt_.validationBudget,
-                                           commitRng) == Solver::Result::Unsat;
-      diag_.secondsSampling += phase.seconds();
-      if (fixed) {
-        OutputReport report;
-        report.output = o;
-        report.name = w.outputName(o);
-        report.conflictsUsed = commitGuard.conflictsUsed();
-        report.bddNodesUsed = commitGuard.bddNodesUsed();
-        report.seconds = commitTimer.seconds();
-        failingSet_.erase(o);
-        pushCommittedReport(std::move(report));
-        return true;
-      }
-
       // Patches that rewire onto newly-created logic (synthesized gates or
       // cone clones) lose the sequential cascade's cross-output reuse: a
       // later output could have absorbed an earlier output's patch logic -
@@ -1516,8 +1600,8 @@ class Engine {
     }
     // On several threads, largest pairs (impl + spec cone gates) first, so
     // the longest certifications start at once instead of trailing at the
-    // end. Threads pull from this shared order (the pool's own deques
-    // would reorder submissions); one thread walks the pairs in order.
+    // end. Threads pull from this shared order; one thread walks the pairs
+    // in order.
     const std::size_t width = std::min(opt_.jobs, pairs.size());
     std::vector<std::size_t> order(pairs.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -1715,8 +1799,10 @@ class Engine {
   /// output goes straight to the guaranteed cone-clone fallback against the
   /// canonical netlist (Proposition 1) - deterministically, with the same
   /// per-output re-derivation as rectifyOutput - and reports kFallback with
-  /// a non-ok limit so the run surfaces as degraded.
-  bool commitQuarantined(std::uint32_t o, int attempts, WorkerExitCause cause) {
+  /// a non-ok limit so the run surfaces as degraded. The frontier check
+  /// that found it still failing is charged to its report.
+  bool commitQuarantined(std::uint32_t o, int attempts, WorkerExitCause cause,
+                         const FrontierCheck& check) {
     const std::uint32_t op = specOutput(o);
     if (op == kNullId) return false;
     rng_.reseed(opt_.seed ^ (0x9e3779b97f4a7c15ULL *
@@ -1731,6 +1817,8 @@ class Engine {
     report.name = working().outputName(o);
     report.status = OutputRectStatus::kFallback;
     report.limit = quarantineLimit(cause);
+    report.conflictsUsed = check.guard.conflictsUsed();
+    report.bddNodesUsed = check.guard.bddNodesUsed();
     report.seconds = timer.seconds();
     report.workerFailedAttempts = attempts;
     report.workerExitCause = cause;

@@ -371,6 +371,18 @@ struct SysecoDiagnostics {
   /// its wall time, like the other phases' cross-thread totals.
   double secondsVerifyCpu = 0.0;
 
+  // Discarded speculation (plan-order supervisor). Outside the phase
+  // totals above, which count adopted work only; both depend on task
+  // scheduling, so they differ across jobs values, executors and resumes.
+  /// Tasks never started because their output was already fixed when it
+  /// became the commit frontier.
+  std::size_t frontierSkippedTasks = 0;
+  /// Phase-seconds of finished worker searches the commit threw away: an
+  /// output found already fixed at the frontier, or a patch redone on the
+  /// canonical netlist. A running task abandoned at the frontier is not
+  /// counted: its result is never read.
+  double secondsDiscardedSpeculation = 0.0;
+
   // Certification-oracle + audit accounting (empty when the oracle is
   // disabled / audits are off).
   std::vector<OutputCertificate> certificates;  ///< final per-output verdicts

@@ -108,6 +108,13 @@ void Injector::schedule(std::string site, Kind kind, std::uint64_t atHit,
   armedCount_.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::uint64_t Injector::hits(std::string_view site) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [name, count] : siteHits_)
+    if (name == site) return count;
+  return 0;
+}
+
 void Injector::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   triggers_.clear();

@@ -132,6 +132,11 @@ class Injector {
   void schedule(std::string site, Kind kind, std::uint64_t atHit,
                 std::uint64_t arg = 0);
 
+  /// Hits recorded at `site` since the last reset(). Sites are only
+  /// counted while some trigger is armed (the unarmed fast path skips the
+  /// injector entirely).
+  std::uint64_t hits(std::string_view site) const;
+
   /// Removes every trigger and every site hit counter (tests must clean up
   /// after themselves).
   void reset();

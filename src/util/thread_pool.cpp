@@ -5,17 +5,14 @@
 namespace syseco {
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    queues_.push_back(std::make_unique<Queue>());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] { workerLoop(i); });
+    workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wakeMutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   wake_.notify_all();
@@ -25,66 +22,30 @@ ThreadPool::~ThreadPool() {
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
-  if (queues_.empty()) {  // inline mode: no workers at all
+  if (workers_.empty()) {  // inline mode: no workers at all
     packaged();
     return future;
   }
-  std::size_t target;
   {
-    std::lock_guard<std::mutex> lock(wakeMutex_);
-    target = nextQueue_;
-    nextQueue_ = (nextQueue_ + 1) % queues_.size();
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(packaged));
   }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(packaged));
-  }
-  wake_.notify_all();
+  wake_.notify_one();
   return future;
 }
 
-bool ThreadPool::popOrSteal(std::size_t self, std::packaged_task<void()>* out) {
-  {  // own queue: back (LIFO - most recently pushed, cache-warm)
-    Queue& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.tasks.empty()) {
-      *out = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      return true;
-    }
-  }
-  // Steal: front (FIFO - oldest first, the task its owner would reach last).
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    Queue& q = *queues_[(self + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.tasks.empty()) {
-      *out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::workerLoop(std::size_t self) {
+void ThreadPool::workerLoop() {
   for (;;) {
     std::packaged_task<void()> task;
-    if (popOrSteal(self, &task)) {
-      task();  // exceptions land in the task's future
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      // Drains the queue before honoring stop: pending tasks still run.
+      wake_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(wakeMutex_);
-    if (stopping_) {
-      // Drain: a task may have been enqueued between the failed steal and
-      // acquiring the lock; re-check before exiting.
-      lock.unlock();
-      if (popOrSteal(self, &task)) {
-        task();
-        continue;
-      }
-      return;
-    }
-    wake_.wait(lock);
+    task();  // exceptions land in the task's future
   }
 }
 

@@ -1,10 +1,13 @@
 #pragma once
-// Work-stealing thread pool for the per-output rectification cascade.
+// Thread pool for the per-output rectification cascade and the oracle
+// fan-out.
 //
-// N worker threads each own a deque of tasks; an idle worker pops from the
-// back of its own deque (LIFO, cache-warm) and steals from the front of a
-// victim's deque (FIFO, oldest first) when its own runs dry. submit()
-// round-robins new tasks across the worker deques and returns a
+// N worker threads share one FIFO queue: tasks *start* in submission
+// order. The plan-order supervisor relies on that - it submits its commit
+// window in plan order, so the output due next for commit is always the
+// first to get a thread instead of waiting behind later speculation. The
+// tasks are coarse (a whole per-output search or certification), so one
+// mutex-guarded queue costs nothing measurable. submit() returns a
 // std::future<void> the caller can block on; task exceptions propagate
 // through the future. The pool is deliberately value-free: tasks produce
 // their results through captured state, and *ordering* of result
@@ -33,33 +36,27 @@ class ThreadPool {
   explicit ThreadPool(std::size_t threads);
 
   /// Joins all workers. Pending tasks are still executed; destruction
-  /// waits for the queues to drain.
+  /// waits for the queue to drain.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `task` and returns a future that becomes ready when it has
-  /// run. Exceptions thrown by the task are captured into the future.
+  /// Enqueues `task` behind every task submitted before it and returns a
+  /// future that becomes ready when it has run. Exceptions thrown by the
+  /// task are captured into the future.
   std::future<void> submit(std::function<void()> task);
 
   std::size_t threadCount() const { return workers_.size(); }
 
  private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::packaged_task<void()>> tasks;
-  };
+  void workerLoop();
 
-  void workerLoop(std::size_t self);
-  bool popOrSteal(std::size_t self, std::packaged_task<void()>* out);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
-  std::mutex wakeMutex_;
+  std::mutex mutex_;
   std::condition_variable wake_;
-  std::size_t nextQueue_ = 0;  // round-robin submit target (under wakeMutex_)
-  bool stopping_ = false;      // under wakeMutex_
+  std::deque<std::packaged_task<void()>> tasks_;  // under mutex_
+  bool stopping_ = false;                         // under mutex_
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace syseco

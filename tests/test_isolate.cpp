@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "already_fixed.hpp"
 #include "eco/isolate.hpp"
 #include "eco/syseco.hpp"
 #include "gen/eco_case.hpp"
@@ -441,6 +442,38 @@ TEST(Isolate, FailingTaskRetriesAndQuarantinesAlikeInEveryExecutor) {
   EXPECT_EQ(seen, 1);
 }
 
+TEST(Isolate, TaskFaultOnAnAlreadyFixedOutputKeepsItsNoOpReport) {
+  // An output that earlier commits already fixed commits a no-op when it
+  // becomes the commit frontier, whatever its task did: with every attempt
+  // of that task failing, inline, threaded and forked runs all report it
+  // clean - no failed attempts, no quarantine - exactly as without the
+  // fault.
+  const EcoCase c = isolateCase(8);
+  const std::vector<std::uint32_t> fixed = alreadyFixedOutputs(c);
+  ASSERT_FALSE(fixed.empty());
+  const std::uint32_t victim = fixed.back();
+  const CapturedRun clean = runCase(c, 1, /*isolate=*/false);
+  fault::Injector::instance().arm("syseco.task.o" + std::to_string(victim),
+                                  fault::Kind::kOom);
+  const CapturedRun inline1 = runCase(c, 1, /*isolate=*/false);
+  const CapturedRun threads = runCase(c, 2, /*isolate=*/false);
+  const CapturedRun forked = runCase(c, 2, /*isolate=*/true);
+  fault::Injector::instance().reset();
+  expectIdenticalRuns(clean, inline1);
+  expectIdenticalRuns(inline1, threads);
+  expectIdenticalRuns(threads, forked);
+  int seen = 0;
+  for (const OutputReport& r : forked.diag.outputs) {
+    if (r.output != victim) continue;
+    ++seen;
+    EXPECT_EQ(r.status, OutputRectStatus::kExact);
+    EXPECT_EQ(r.limit, StatusCode::kOk);
+    EXPECT_EQ(r.workerFailedAttempts, 0);
+    EXPECT_EQ(r.workerExitCause, WorkerExitCause::kNone);
+  }
+  EXPECT_EQ(seen, 1);
+}
+
 TEST(Isolate, InvalidKnobsAreRejectedNotUndefined) {
   const EcoCase c = isolateCase(11);
   SysecoOptions opt;
@@ -485,14 +518,16 @@ class IsolateCliTest : public ::testing::Test {
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : 128 + WTERMSIG(rc);
   }
 
-  /// Strips wall-clock timing so runs compare byte-for-byte on everything
-  /// that must be deterministic.
+  /// Strips wall-clock timing and the scheduling-dependent speculation
+  /// counters so runs compare byte-for-byte on everything that must be
+  /// deterministic.
   static std::string normalizeReport(std::string text) {
     std::ostringstream out;
     std::istringstream in(text);
     std::string line;
     while (std::getline(in, line)) {
       if (line.find("\"phase_cpu_seconds\"") != std::string::npos) continue;
+      if (line.find("\"speculation\"") != std::string::npos) continue;
       std::size_t pos = 0;
       while ((pos = line.find("seconds\": ", pos)) != std::string::npos) {
         pos += 10;

@@ -1,4 +1,4 @@
-// Parallel rectification: the work-stealing pool, the shared structural
+// Parallel rectification: the FIFO thread pool, the shared structural
 // analyses, and the engine's determinism guarantee - `jobs = N` must be
 // bit-identical to `jobs = 1` in reports, patches and journal records
 // (wall-clock timing excepted). These tests carry the `sanitize` label so
@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "already_fixed.hpp"
 #include "eco/resume.hpp"
 #include "eco/syseco.hpp"
 #include "expect_certificates.hpp"
@@ -22,6 +26,7 @@
 #include "io/blif_io.hpp"
 #include "io/journal_io.hpp"
 #include "netlist/analysis.hpp"
+#include "util/fault.hpp"
 #include "util/thread_pool.hpp"
 
 namespace syseco {
@@ -71,6 +76,59 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
       pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   }  // destructor joins; every queued task must have executed
   EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPool, TasksStartInSubmissionOrder) {
+  // The only thread is held busy while eight tasks queue up behind it; they
+  // must then start first-in first-out. (The plan-order supervisor submits
+  // its window in plan order so the output due next for commit starts
+  // first.)
+  ThreadPool pool(1);
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  std::future<void> blocker = pool.submit([gate] { gate.wait(); });
+  std::vector<int> order;  // written by the single worker only
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 8; ++i)
+    futures.push_back(pool.submit([&order, i] { order.push_back(i); }));
+  release.set_value();
+  blocker.get();
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(ThreadPool, FreedThreadsTakeTheOldestQueuedTasks) {
+  // Both threads are held busy while six tasks queue up; when they are
+  // freed, they must pick up the two oldest, never a later one.
+  ThreadPool pool(2);
+  std::promise<void> release, finish;
+  const std::shared_future<void> gate = release.get_future().share();
+  const std::shared_future<void> done = finish.get_future().share();
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 2; ++i)
+    futures.push_back(pool.submit([gate] { gate.wait(); }));
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<int> started;
+  for (int i = 0; i < 6; ++i)
+    futures.push_back(pool.submit([&, i] {
+      {
+        std::lock_guard<std::mutex> lock(m);
+        started.push_back(i);
+      }
+      cv.notify_all();
+      done.wait();
+    }));
+  release.set_value();
+  {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return started.size() >= 2; });
+    EXPECT_EQ(std::set<int>(started.begin(), started.end()),
+              (std::set<int>{0, 1}));
+  }
+  finish.set_value();
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(started.size(), 6u);
 }
 
 // --- NetlistAnalysis ------------------------------------------------------
@@ -265,12 +323,41 @@ TEST(Parallel, JobsTwoIsBitIdenticalToJobsOne) {
   expectIdenticalRuns(runWithJobs(c, 1), runWithJobs(c, 2));
 }
 
+TEST(Parallel, JobsOneLaunchesNoTaskForAnAlreadyFixedOutput) {
+  // Earlier commits fix some outputs of this case for free. The supervisor
+  // decides that when such an output becomes the commit frontier, before
+  // launching its task - so at jobs 1 the task never runs. A never-due
+  // one-shot trigger on every task site counts the launches without
+  // failing any of them.
+  const EcoCase c = parallelCase(8);
+  const std::vector<std::uint32_t> fixed = alreadyFixedOutputs(c);
+  ASSERT_FALSE(fixed.empty());
+  const CapturedRun clean = runWithJobs(c, 1);
+  fault::Injector& inj = fault::Injector::instance();
+  for (const OutputReport& r : clean.diag.outputs)
+    inj.schedule("syseco.task.o" + std::to_string(r.output), fault::Kind::kOom,
+                 /*atHit=*/1u << 30);
+  const CapturedRun counted = runWithJobs(c, 1);
+  for (const OutputReport& r : clean.diag.outputs) {
+    const bool isFixed =
+        std::find(fixed.begin(), fixed.end(), r.output) != fixed.end();
+    EXPECT_EQ(inj.hits("syseco.task.o" + std::to_string(r.output)),
+              isFixed ? 0u : 1u)
+        << "output " << r.output;
+  }
+  inj.reset();
+  EXPECT_EQ(counted.diag.frontierSkippedTasks, fixed.size());
+  EXPECT_EQ(clean.diag.frontierSkippedTasks, fixed.size());
+  expectIdenticalRuns(clean, counted);
+}
+
 TEST(Parallel, RepeatedParallelRunsAreStable) {
   // Scheduling nondeterminism must never leak: two jobs=4 runs of the same
   // case are bit-identical to each other as well.
   const EcoCase c = parallelCase(808);
   expectIdenticalRuns(runWithJobs(c, 4), runWithJobs(c, 4));
 }
+
 
 }  // namespace
 }  // namespace syseco

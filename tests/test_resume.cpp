@@ -336,14 +336,16 @@ class ResumeCliTest : public ::testing::Test {
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : 128 + WTERMSIG(rc);
   }
 
-  /// Strips wall-clock timing from a report so two runs can be compared
-  /// byte-for-byte on everything that must be deterministic.
+  /// Strips wall-clock timing and the scheduling-dependent speculation
+  /// counters from a report so two runs can be compared byte-for-byte on
+  /// everything that must be deterministic.
   static std::string normalizeReport(std::string text) {
     std::ostringstream out;
     std::istringstream in(text);
     std::string line;
     while (std::getline(in, line)) {
       if (line.find("\"phase_cpu_seconds\"") != std::string::npos) continue;
+      if (line.find("\"speculation\"") != std::string::npos) continue;
       std::size_t pos = 0;
       while ((pos = line.find("seconds\": ", pos)) != std::string::npos) {
         pos += 10;
