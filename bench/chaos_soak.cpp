@@ -157,8 +157,7 @@ std::string waitPort(const std::string& portFile, double deadlineSeconds) {
 /// disagreements, which a clean reference case never produces.
 std::vector<syseco::fault::FaultSite> sitesForMode(const std::string& mode) {
   std::vector<std::string> prefixes;
-  if (mode == "serve") prefixes = {"queue.wal."};
-  else if (mode == "batch") prefixes = {"ledger.wal."};
+  if (mode == "serve" || mode == "batch") prefixes = {"queue.wal."};
   else prefixes = {"journal.", "atomic."};
   std::vector<syseco::fault::FaultSite> out;
   for (const syseco::fault::FaultSite& s : syseco::fault::storageFaultSites())
@@ -392,8 +391,8 @@ void runBatchSchedule(const Context& ctx, PoolWatchdog& dog,
     vio->push_back("healed sweep failed (" + describe(healed) + ")");
     return;
   }
-  checkHealedArtifacts(ctx, state + "/cases/c1/journal",
-                       state + "/cases/c1/out.blif", vio);
+  checkHealedArtifacts(ctx, state + "/jobs/c1/journal",
+                       state + "/jobs/c1/out.blif", vio);
 
   std::vector<std::string> leaks;
   findStaging(state, &leaks);

@@ -539,22 +539,22 @@ done
 BP1="$(cat "$BATCH/p1")"
 BP2="$(cat "$BATCH/p2")"
 
-# Phase 1: SIGKILL the driver as soon as the WAL proves a case is in
-# flight. The fsync-per-record ledger means the kill can lose nothing.
+# Phase 1: SIGKILL the driver as soon as the queue WAL proves a case is in
+# flight. The fsync-per-record queue means the kill can lose nothing.
 "$CLI" --batch "$BATCH/manifest.json" --batch-state "$BATCH/state" \
     --workers "127.0.0.1:$BP1,127.0.0.1:$BP2" --jobs 2 --verbose \
     > "$BATCH/drive1.log" 2>&1 &
 BDRIVER=$!
 for _ in $(seq 1 200); do
-  grep -aq '"event":"dispatched"' "$BATCH/state/ledger/journal.jsonl" \
+  grep -aq '"event":"running"' "$BATCH/state/queue/journal.jsonl" \
       2>/dev/null && break
   sleep 0.05
 done
 kill -9 "$BDRIVER" 2>/dev/null
 wait "$BDRIVER" 2>/dev/null || true
-grep -aq '"event":"dispatched"' "$BATCH/state/ledger/journal.jsonl" \
+grep -aq '"event":"running"' "$BATCH/state/queue/journal.jsonl" \
     || { echo "driver died before dispatching anything"; exit 1; }
-DONE_AT_KILL="$(grep -ac '"event":"done"' "$BATCH/state/ledger/journal.jsonl" || true)"
+DONE_AT_KILL="$(grep -ac '"event":"done"' "$BATCH/state/queue/journal.jsonl" || true)"
 [ "$DONE_AT_KILL" -lt 4 ] \
     || { echo "sweep drained before the kill; soak window too late"; exit 1; }
 
@@ -582,8 +582,8 @@ kill -9 "$BAGENT1" "$BAGENT2" 2>/dev/null || true
 
 # The interrupted attempt must be visible in the WAL as recovery, and the
 # drained sweep must report every case done.
-grep -aqE 'recovery:|"event":"requeued"' \
-    "$BATCH/state/ledger/journal.jsonl" "$BATCH/drive2.log" \
+grep -aqE 'recovery:|"event":"recovered"' \
+    "$BATCH/state/queue/journal.jsonl" "$BATCH/drive2.log" \
     || { echo "resume never recovered the interrupted dispatch"; exit 1; }
 python3 - "$BATCH/state/batch_report.json" <<'PYEOF'
 import json, sys
@@ -598,7 +598,7 @@ PYEOF
 # 3-way identity: every case's netlist and verdict record must match the
 # serial local --jobs 2 reference byte for byte.
 for SEED in 1 2 3 4; do
-  CASE="$BATCH/state/cases/alu-s$SEED"
+  CASE="$BATCH/state/jobs/alu-s$SEED"
   cmp "$CASE/out.blif" "$BATCH/bref$SEED.blif" \
       || { echo "batch case alu-s$SEED netlist diverged"; exit 1; }
   cmp "$CASE/verdicts.txt" "$BATCH/bref$SEED.verdicts" \

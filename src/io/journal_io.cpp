@@ -614,7 +614,11 @@ std::string serializeServeEvent(const JournalServeEvent& r) {
      << ",\"bytes\":" << r.bytes << ",\"attempt\":" << r.attempt
      << ",\"exit_code\":" << r.exitCode << ",\"cause\":\""
      << jsonEscape(r.cause) << "\",\"detail\":\"" << jsonEscape(r.detail)
-     << "\",\"fault_inject\":\"" << jsonEscape(r.faultInject) << "\"}";
+     << "\",\"fault_inject\":\"" << jsonEscape(r.faultInject)
+     << "\",\"worker\":\"" << jsonEscape(r.worker)
+     << "\",\"cache_hits\":" << r.cacheHits
+     << ",\"cache_misses\":" << r.cacheMisses
+     << ",\"cache_evictions\":" << r.cacheEvictions << "}";
   return os.str();
 }
 
@@ -641,52 +645,19 @@ Result<JournalServeEvent> parseServeEvent(std::string_view payload) {
         getString(v, "detail", &out.detail) &&
         getString(v, "fault_inject", &out.faultInject)))
     return Status::invalidInput("serve record: malformed fields");
+  // The dispatch target and agent cache counters are optional: a queue WAL
+  // written before they existed still folds.
+  if ((v.find("worker") && !getString(v, "worker", &out.worker)) ||
+      (v.find("cache_hits") && !getU64(v, "cache_hits", &out.cacheHits)) ||
+      (v.find("cache_misses") &&
+       !getU64(v, "cache_misses", &out.cacheMisses)) ||
+      (v.find("cache_evictions") &&
+       !getU64(v, "cache_evictions", &out.cacheEvictions)))
+    return Status::invalidInput("serve record: malformed fields");
   out.detach = detach->boolean;
   out.isolate = isolate->boolean;
   if (out.event.empty())
     return Status::invalidInput("serve record: empty event");
-  return out;
-}
-
-std::string serializeBatchEvent(const JournalBatchEvent& r) {
-  std::ostringstream os;
-  os << "{\"type\":\"batch\",\"event\":\"" << jsonEscape(r.event)
-     << "\",\"name\":\"" << jsonEscape(r.name) << "\",\"impl\":\""
-     << jsonEscape(r.impl) << "\",\"spec\":\"" << jsonEscape(r.spec)
-     << "\",\"seed\":\"" << r.seed << "\",\"jobs\":" << r.jobs
-     << ",\"worker\":\"" << jsonEscape(r.worker) << "\",\"epoch\":\""
-     << r.epoch << "\",\"attempt\":" << r.attempt
-     << ",\"exit_code\":" << r.exitCode << ",\"cause\":\""
-     << jsonEscape(r.cause) << "\",\"detail\":\"" << jsonEscape(r.detail)
-     << "\",\"cache_hits\":" << r.cacheHits
-     << ",\"cache_misses\":" << r.cacheMisses
-     << ",\"cache_evictions\":" << r.cacheEvictions << "}";
-  return os.str();
-}
-
-Result<JournalBatchEvent> parseBatchEvent(std::string_view payload) {
-  Result<JsonValue> parsed = parseJson(payload);
-  if (!parsed.isOk()) return parsed.status();
-  const JsonValue& v = parsed.value();
-  std::string type;
-  if (!getString(v, "type", &type) || type != "batch")
-    return Status::invalidInput("batch record: wrong or missing type");
-  JournalBatchEvent out;
-  if (!(getString(v, "event", &out.event) && getString(v, "name", &out.name) &&
-        getString(v, "impl", &out.impl) && getString(v, "spec", &out.spec) &&
-        getU64Wide(v, "seed", &out.seed) && getI64(v, "jobs", &out.jobs) &&
-        getString(v, "worker", &out.worker) &&
-        getU64Wide(v, "epoch", &out.epoch) &&
-        getI64(v, "attempt", &out.attempt) &&
-        getI64(v, "exit_code", &out.exitCode) &&
-        getString(v, "cause", &out.cause) &&
-        getString(v, "detail", &out.detail) &&
-        getU64(v, "cache_hits", &out.cacheHits) &&
-        getU64(v, "cache_misses", &out.cacheMisses) &&
-        getU64(v, "cache_evictions", &out.cacheEvictions)))
-    return Status::invalidInput("batch record: malformed fields");
-  if (out.event.empty())
-    return Status::invalidInput("batch record: empty event");
   return out;
 }
 

@@ -139,9 +139,9 @@ struct JournalFleetEvent {
   std::string detail;
 };
 
-/// One durable state transition of the --serve daemon's job queue (the
-/// serve WAL reuses the util/journal framing but lives in its own
-/// directory, so these records never mix with an engine run journal).
+/// One durable state transition of the job queue behind --serve and
+/// --batch (the serve WAL reuses the util/journal framing but lives in its
+/// own directory, so these records never mix with an engine run journal).
 /// Engine-type-free like the fleet events: src/serve owns the semantics.
 struct JournalServeEvent {
   std::string event;   ///< submitted|running|done|failed|cancelled|recovered|note
@@ -158,6 +158,12 @@ struct JournalServeEvent {
   std::string cause;            ///< failure/cancel classification
   std::string detail;
   std::string faultInject;      ///< test hook carried into the job's worker
+  std::string worker;  ///< dispatch target ("host:port"; "" = local pool)
+  /// Agent CaseCacheLru counters snapshotted with a remote result (done
+  /// records; zero for local runs).
+  std::uint64_t cacheHits = 0;
+  std::uint64_t cacheMisses = 0;
+  std::uint64_t cacheEvictions = 0;
 };
 
 std::string serializeServeEvent(const JournalServeEvent& r);
@@ -166,36 +172,6 @@ std::string serializeServeEvent(const JournalServeEvent& r);
 /// Hardened like the rest of the journal parsers: arbitrary bytes yield
 /// kInvalidInput, never UB.
 Result<JournalServeEvent> parseServeEvent(std::string_view payload);
-
-/// One durable state transition of a --batch sweep's case ledger (the batch
-/// WAL: same framing and fold-on-open recovery style as the serve WAL, its
-/// own directory). Engine-type-free: src/serve/batch_ledger owns the
-/// semantics.
-struct JournalBatchEvent {
-  std::string event;  ///< registered|dispatched|done|failed|requeued|note
-  std::string name;   ///< manifest case name; empty for batch-wide notes
-  std::string impl;   ///< manifest paths (registered only, else empty)
-  std::string spec;
-  std::uint64_t seed = 0;
-  std::int64_t jobs = 1;      ///< per-case worker threads (--jobs)
-  std::string worker;         ///< "host:port" for dispatched; "" for local
-  std::uint64_t epoch = 0;    ///< fleet assignment epoch for dispatched
-  std::int64_t attempt = 0;   ///< dispatch ordinal
-  std::int64_t exitCode = 0;  ///< engine exit classification for done
-  std::string cause;          ///< failure classification
-  std::string detail;
-  /// Agent CaseCacheLru counters snapshotted at case completion (done
-  /// events from remote dispatch; zero for local fallback runs).
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheMisses = 0;
-  std::uint64_t cacheEvictions = 0;
-};
-
-std::string serializeBatchEvent(const JournalBatchEvent& r);
-
-/// Parses one batch WAL payload (a single JSON object with type "batch").
-/// Hardened like the rest of the journal parsers.
-Result<JournalBatchEvent> parseBatchEvent(std::string_view payload);
 
 /// Every intelligible record recovered from a journal directory.
 struct JournalContents {

@@ -1,47 +1,23 @@
 #include "serve/batch.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
-#include "io/blif_io.hpp"
 #include "io/journal_io.hpp"
-#include "io/netlist_io.hpp"
-#include "io/verilog_io.hpp"
-#include "serve/watchdog.hpp"
 #include "util/atomic_file.hpp"
-#include "util/crc32.hpp"
 #include "util/io_retry.hpp"
-#include "util/ipc.hpp"
-#include "util/journal.hpp"
-#include "util/socket.hpp"
 #include "util/subprocess.hpp"
-#include "util/timer.hpp"
 
 namespace syseco::serve {
-
-double caseRedispatchBackoffSeconds(double backoffBaseMs, std::uint64_t seed,
-                                    std::uint32_t caseOrdinal,
-                                    int failedAttempts) {
-  // The per-output transports' deterministic contract, re-keyed: the case's
-  // manifest ordinal stands in for the output index, so every driver life
-  // paces the same case on the same schedule from (seed, ordinal) alone.
-  SysecoOptions opt;
-  opt.isolateBackoffMs = backoffBaseMs;
-  opt.seed = seed;
-  return retryBackoffSeconds(opt, caseOrdinal, failedAttempts);
-}
 
 // --- Manifest -------------------------------------------------------------
 
 namespace {
 
 constexpr std::size_t kMaxManifestCases = 4096;
-constexpr std::int64_t kMaxCaseJobs = 256;
 
 Status badManifest(const std::string& why) {
   return Status::invalidInput("batch manifest: " + why);
@@ -107,346 +83,23 @@ Result<std::vector<ManifestCase>> parseBatchManifest(std::string_view text) {
   return out;
 }
 
-// --- CaseDispatcher -------------------------------------------------------
-
-namespace {
-
-constexpr int kPeerMaxStrikes = 2;
-
-const char* recvBreakCause(net::RecvStatus st) {
-  switch (st) {
-    case net::RecvStatus::kTruncated: return "frame-truncated";
-    case net::RecvStatus::kGarbage: return "garbage-ipc";
-    default: return "conn-reset";
-  }
-}
-
-}  // namespace
-
-CaseDispatcher::CaseDispatcher(Options opt) : opt_(std::move(opt)) {
-  for (const std::string& spec : opt_.workers) {
-    Peer p;
-    p.spec = spec;
-    Result<std::pair<std::string, std::uint16_t>> hp = net::parseHostPort(spec);
-    if (!hp.isOk()) {
-      // A malformed spec can never serve; it is born dead (and reported so
-      // the caller's ledger shows why the fleet is smaller than configured).
-      p.dead = true;
-      Event ev;
-      ev.kind = EventKind::kPeerDead;
-      ev.worker = spec;
-      ev.cause = "conn-refused";
-      ev.detail = "bad worker spec: " + hp.status().message();
-      pending_.push_back(std::move(ev));
-    } else {
-      p.host = hp.value().first;
-      p.port = hp.value().second;
-    }
-    peers_.push_back(std::move(p));
-  }
-}
-
-CaseDispatcher::~CaseDispatcher() {
-  for (Peer& p : peers_) net::closeSocket(p.fd);
-}
-
-void CaseDispatcher::log(const std::string& msg) const {
-  if (opt_.verbose) std::fprintf(stderr, "[syseco-batch] %s\n", msg.c_str());
-}
-
-std::size_t CaseDispatcher::usableWorkers() const {
-  std::size_t n = 0;
-  for (const Peer& p : peers_)
-    if (!p.dead && !p.lagging) ++n;
-  return n;
-}
-
-bool CaseDispatcher::fleetUsable() const {
-  return usableWorkers() >= static_cast<std::size_t>(std::max(1, opt_.minWorkers));
-}
-
-bool CaseDispatcher::hasIdlePeer() const {
-  for (const Peer& p : peers_)
-    if (!p.dead && !p.lagging && !p.busy) return true;
-  return false;
-}
-
-std::vector<int> CaseDispatcher::pollFds() const {
-  std::vector<int> fds;
-  for (const Peer& p : peers_)
-    if (p.fd >= 0) fds.push_back(p.fd);
-  return fds;
-}
-
-CaseDispatcher::Event CaseDispatcher::reclaim(Peer& p, const std::string& cause,
-                                              const std::string& why) {
-  Event ev;
-  ev.kind = EventKind::kFailure;
-  ev.name = p.caseName;
-  ev.worker = p.spec;
-  ev.attempt = p.attempt;
-  ev.cause = cause;
-  ev.detail = why;
-  p.busy = false;
-  p.casePayload.clear();
-  p.casePayload.shrink_to_fit();
-  return ev;
-}
-
-void CaseDispatcher::breakPeer(Peer& p, const std::string& cause,
-                               const std::string& why,
-                               std::vector<Event>& out) {
-  if (p.busy) out.push_back(reclaim(p, cause, why));
-  net::closeSocket(p.fd);
-  p.rx.clear();
-  p.lagging = false;
-  ++p.strikes;
-  if (p.strikes >= kPeerMaxStrikes && !p.dead) {
-    p.dead = true;
-    Event ev;
-    ev.kind = EventKind::kPeerDead;
-    ev.worker = p.spec;
-    ev.cause = cause;
-    ev.detail = why;
-    out.push_back(std::move(ev));
-    log("worker " + p.spec + " marked dead: " + why);
-  }
-}
-
-Result<CaseDispatcher::Assignment> CaseDispatcher::assign(
-    const std::string& name, std::string casePayload, std::int64_t jobs,
-    std::int64_t attempt, double nowSeconds) {
-  const std::uint32_t crc = crc32(casePayload);
-  for (Peer& p : peers_) {
-    if (p.dead || p.lagging || p.busy) continue;
-    if (p.fd < 0) {
-      Result<int> fd = net::connectTo(p.host, p.port, opt_.connectTimeoutMs);
-      if (!fd.isOk()) {
-        // The case never reached the agent: the refusal strikes the peer,
-        // not the case's retry budget.
-        breakPeer(p, "conn-refused", fd.status().message(), pending_);
-        continue;
-      }
-      p.fd = fd.take();
-      p.rx.clear();
-    }
-    FleetCaseTask task;
-    task.name = name;
-    task.caseCrc = crc;
-    task.epoch = ++epochCounter_;
-    task.leaseSeconds = opt_.leaseSeconds;
-    task.jobs = static_cast<std::uint32_t>(
-        std::clamp<std::int64_t>(jobs, 1, kMaxCaseJobs));
-    task.attempt = attempt;
-    if (!net::sendFrame(p.fd, ipc::kTypeFleetCaseTask,
-                        encodeFleetCaseTask(task))
-             .isOk()) {
-      breakPeer(p, "conn-reset", "case task send failed", pending_);
-      continue;
-    }
-    p.busy = true;
-    p.caseName = name;
-    p.casePayload = std::move(casePayload);
-    p.caseCrc = crc;
-    p.epoch = task.epoch;
-    p.attempt = attempt;
-    p.deadline = nowSeconds + opt_.leaseSeconds;
-    log("case " + name + " -> " + p.spec + " (epoch " +
-        std::to_string(task.epoch) + ", attempt " + std::to_string(attempt) +
-        ")");
-    Assignment a;
-    a.worker = p.spec;
-    a.epoch = task.epoch;
-    return a;
-  }
-  return Status::internal("no idle usable agent accepted the case");
-}
-
-void CaseDispatcher::handleFrame(Peer& p, const ipc::Frame& frame,
-                                 double nowSeconds, std::vector<Event>& out) {
-  switch (frame.type) {
-    case ipc::kTypeFleetNeedCase: {
-      Result<std::uint32_t> crc = decodeFleetNeedCase(frame.payload);
-      if (!crc.isOk() || !p.busy || crc.value() != p.caseCrc) {
-        breakPeer(p, "garbage-ipc", "bad need-case frame", out);
-        return;
-      }
-      log("case upload to " + p.spec + " (" +
-          std::to_string(p.casePayload.size()) + " bytes)");
-      if (!net::sendFrame(p.fd, ipc::kTypeFleetCase, p.casePayload).isOk())
-        breakPeer(p, "conn-reset", "case upload failed", out);
-      return;
-    }
-    case ipc::kTypeFleetHeartbeat: {
-      Result<std::uint64_t> ep = decodeFleetHeartbeat(frame.payload);
-      if (!ep.isOk()) {
-        breakPeer(p, "garbage-ipc", "bad heartbeat frame", out);
-        return;
-      }
-      // Heartbeats for reclaimed epochs are ignored: the peer stays
-      // lagging until its stale result lands.
-      if (p.busy && ep.value() == p.epoch)
-        p.deadline = nowSeconds + opt_.leaseSeconds;
-      return;
-    }
-    case ipc::kTypeFleetCaseResult: {
-      Result<FleetCaseResult> res = decodeFleetCaseResult(frame.payload);
-      if (!res.isOk()) {
-        breakPeer(p, "garbage-ipc",
-                  "undecodable case result: " + res.status().message(), out);
-        return;
-      }
-      if (!p.busy || res.value().epoch != p.epoch) {
-        // The duplicate from a reclaimed assignment: discarded by epoch,
-        // and the agent - alive, honest, just too late - rejoins the pool.
-        Event ev;
-        ev.kind = EventKind::kStaleDiscard;
-        ev.name = p.caseName;
-        ev.worker = p.spec;
-        ev.cause = "stale-epoch";
-        ev.detail = "discarded duplicate result for epoch " +
-                    std::to_string(res.value().epoch);
-        out.push_back(std::move(ev));
-        p.lagging = false;
-        p.strikes = 0;
-        return;
-      }
-      Event ev;
-      ev.kind = EventKind::kResult;
-      ev.name = p.caseName;
-      ev.worker = p.spec;
-      ev.attempt = p.attempt;
-      ev.result = res.take();
-      out.push_back(std::move(ev));
-      p.busy = false;
-      p.strikes = 0;
-      p.casePayload.clear();
-      p.casePayload.shrink_to_fit();
-      return;
-    }
-    case ipc::kTypeFleetFailure: {
-      Result<FleetFailure> fail = decodeFleetFailure(frame.payload);
-      if (!fail.isOk()) {
-        breakPeer(p, "garbage-ipc", "bad failure frame", out);
-        return;
-      }
-      if (!p.busy || fail.value().epoch != p.epoch) {
-        Event ev;
-        ev.kind = EventKind::kStaleDiscard;
-        ev.name = p.caseName;
-        ev.worker = p.spec;
-        ev.cause = "stale-epoch";
-        ev.detail = "discarded duplicate failure for epoch " +
-                    std::to_string(fail.value().epoch);
-        out.push_back(std::move(ev));
-        p.lagging = false;
-        p.strikes = 0;
-        return;
-      }
-      // A contained failure report proves the agent itself is healthy.
-      Event ev = reclaim(p, fail.value().cause, fail.value().detail);
-      out.push_back(std::move(ev));
-      p.strikes = 0;
-      return;
-    }
-    default:
-      breakPeer(p, "garbage-ipc",
-                "unexpected frame type " + std::to_string(frame.type), out);
-      return;
-  }
-}
-
-void CaseDispatcher::servicePeer(Peer& p, double nowSeconds,
-                                 std::vector<Event>& out) {
-  if (p.fd < 0) return;
-  const ioretry::DrainOutcome dr = ioretry::drainNonblockingRaw(p.fd, &p.rx);
-  const bool eof = dr.state == ioretry::DrainState::kEof;
-  const int derr = dr.state == ioretry::DrainState::kError ? dr.err : 0;
-  while (p.fd >= 0) {
-    net::RecvOutcome o = net::takeFrame(&p.rx, eof, derr);
-    if (o.status == net::RecvStatus::kFrame) {
-      handleFrame(p, o.frame, nowSeconds, out);
-      continue;
-    }
-    if (o.status == net::RecvStatus::kTimeout) break;  // stream intact
-    const char* cause = recvBreakCause(o.status);
-    breakPeer(p, cause, o.detail.empty() ? cause : o.detail, out);
-    break;
-  }
-}
-
-std::vector<CaseDispatcher::Event> CaseDispatcher::poll(double nowSeconds) {
-  std::vector<Event> out;
-  out.swap(pending_);
-  for (Peer& p : peers_) servicePeer(p, nowSeconds, out);
-
-  // Lease enforcement: a case with no heartbeat inside its lease is
-  // reclaimed. The connection is kept - the agent may still deliver a
-  // now-stale result, and discarding it by epoch is cheaper than
-  // resynchronizing a torn stream - but the peer stops counting toward
-  // fleet health until that happens.
-  for (Peer& p : peers_) {
-    if (!p.busy || p.fd < 0 || nowSeconds <= p.deadline) continue;
-    out.push_back(reclaim(p, "lease-expired", "no heartbeat within the lease"));
-    ++p.strikes;
-    if (p.strikes >= kPeerMaxStrikes) {
-      net::closeSocket(p.fd);
-      p.rx.clear();
-      p.dead = true;
-      Event ev;
-      ev.kind = EventKind::kPeerDead;
-      ev.worker = p.spec;
-      ev.cause = "lease-expired";
-      ev.detail = "strike limit after repeated lease expiries";
-      out.push_back(std::move(ev));
-      log("worker " + p.spec + " marked dead after repeated lease expiries");
-    } else {
-      p.lagging = true;
-      log("case " + p.caseName + " lease expired on " + p.spec +
-          "; reclaimed (peer lagging)");
-    }
-  }
-  return out;
-}
-
-void CaseDispatcher::closeAll() {
-  for (Peer& p : peers_) {
-    if (p.busy)
-      pending_.push_back(
-          reclaim(p, "conn-reset", "fleet closed; case reclaimed"));
-    net::closeSocket(p.fd);
-    p.rx.clear();
-    p.lagging = false;
-    p.dead = true;
-  }
-}
-
 // --- runBatch -------------------------------------------------------------
 
 namespace {
 
 constexpr int kBatchTickMs = 50;
-constexpr double kTerminateGraceSeconds = 1.0;
 
-bool endsWith(const std::string& s, const char* suffix) {
-  const std::string_view suf(suffix);
-  return s.size() >= suf.size() &&
-         s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
-Result<Netlist> loadAnyNetlist(const std::string& path) {
-  if (endsWith(path, ".blif")) return loadBlifChecked(path);
-  if (endsWith(path, ".v")) return loadVerilogChecked(path);
-  return loadNetlistChecked(path);
-}
-
-void saveAnyNetlist(const std::string& path, const Netlist& nl) {
-  if (endsWith(path, ".blif"))
-    saveBlif(path, nl);
-  else if (endsWith(path, ".v"))
-    saveVerilog(path, nl);
-  else
-    saveNetlist(path, nl);
+/// A manifest input's job format, from its path extension.
+std::string formatOf(const std::string& path) {
+  const std::size_t dot = path.rfind('.');
+  const std::size_t slash = path.rfind('/');
+  if (dot == std::string::npos ||
+      (slash != std::string::npos && dot < slash))
+    return "netlist";
+  const std::string ext = path.substr(dot);
+  if (ext == ".blif") return "blif";
+  if (ext == ".v") return "v";
+  return "netlist";
 }
 
 Result<std::string> slurpFile(const std::string& path) {
@@ -458,239 +111,63 @@ Result<std::string> slurpFile(const std::string& path) {
   return os.str();
 }
 
-/// The last verdicts record a finished local worker left in its engine
-/// journal (empty when the run had no oracle or died early). The verdict
-/// record is timing-free by design, which is what makes it the
-/// bit-comparison anchor across local, remote and resumed executions.
-std::string verdictsLineFromJournal(const std::string& journalDir) {
-  Result<JournalScan> scan = scanJournal(journalDir);
-  if (!scan.isOk()) return {};
-  std::string last;
-  for (const JournalFrame& f : scan.value().frames)
-    if (f.payload.rfind("{\"type\":\"verdicts\"", 0) == 0) last = f.payload;
-  return last;
+/// Reads and validates one case's inputs into `req`; the status says why
+/// the case cannot run (kept as the failed job's detail).
+Status loadCaseInputs(const ManifestCase& m, SubmitRequest& req) {
+  Result<std::string> impl = slurpFile(m.implPath);
+  Result<std::string> spec = slurpFile(m.specPath);
+  if (impl.isOk()) req.implText = impl.take();
+  if (spec.isOk()) req.specText = spec.take();
+  if (!impl.isOk()) return impl.status();
+  if (!spec.isOk()) return spec.status();
+  if (formatOf(m.specPath) != req.format)
+    return Status::invalidInput("impl and spec must share one netlist format");
+  return validatePayload(req);
 }
 
-/// One sweep's driver state: the ledger plus the in-memory scheduling
-/// overlays that deliberately do NOT persist (backoff clocks restart at
-/// zero on resume; payload encodings are recomputed on demand).
-struct BatchDriver {
-  const BatchOptions& opt;
-  BatchLedger& ledger;
-  CaseDispatcher& dispatcher;
-  PoolWatchdog& pool;
-  Timer clock;
-  std::map<std::string, double> notBefore;
-  std::map<std::string, std::string> payloads;  ///< name -> encodeFleetCase
-  std::map<std::string, std::uint32_t> ordinals;
-  bool degraded = false;
-  bool interrupted = false;
+/// Registers one manifest case as a queue job named by its manifest name.
+/// A case whose inputs do not read or parse is registered already failed
+/// as invalid-input, so it is never dispatched and the sweep continues.
+Status registerCase(JobQueue& queue, const ManifestCase& m,
+                    const BatchOptions& opt) {
+  SubmitRequest req;
+  req.format = formatOf(m.implPath);
+  req.seed = m.hasSeed ? m.seed : opt.defaultSeed;
+  req.jobs = m.hasJobs ? m.jobs : opt.defaultJobs;
+  const Status inputs = loadCaseInputs(m, req);
+  Result<Job*> job = queue.submit(req, m.name);
+  if (!job.isOk()) return job.status();
+  if (!inputs.isOk() && job.value()->state == QueueState::kQueued)
+    return queue.markFailed(*job.value(), "invalid-input", inputs.message());
+  return Status::ok();
+}
 
-  void log(const std::string& msg) const {
-    if (opt.verbose) std::fprintf(stderr, "[syseco-batch] %s\n", msg.c_str());
+Status writeBatchReport(JobQueue& queue, bool degraded, bool interrupted) {
+  std::ostringstream os;
+  CacheCounters totals;
+  os << "{\"cases\":[";
+  bool first = true;
+  for (const Job* j : queue.all()) {
+    if (!first) os << ",";
+    first = false;
+    os << "{\"name\":\"" << jsonEscape(j->id) << "\",\"state\":\""
+       << queueStateName(j->state) << "\",\"exit_code\":" << j->exitCode
+       << ",\"attempt\":" << j->attempt << ",\"worker\":\""
+       << jsonEscape(j->worker) << "\",\"cause\":\"" << jsonEscape(j->cause)
+       << "\",\"cache\":{\"hits\":" << j->cache.hits
+       << ",\"misses\":" << j->cache.misses
+       << ",\"evictions\":" << j->cache.evictions << "}}";
+    totals.hits += j->cache.hits;
+    totals.misses += j->cache.misses;
+    totals.evictions += j->cache.evictions;
   }
-
-  std::uint32_t ordinalOf(const std::string& name) const {
-    auto it = ordinals.find(name);
-    return it == ordinals.end() ? 0 : it->second;
-  }
-
-  bool stopRequested() const {
-    return opt.stop != nullptr && opt.stop->load(std::memory_order_relaxed);
-  }
-
-  /// Lazily encodes (and caches) the case upload payload.
-  Result<const std::string*> payloadFor(const BatchCase& c) {
-    if (auto it = payloads.find(c.name); it != payloads.end())
-      return Result<const std::string*>(&it->second);
-    Result<Netlist> base = loadAnyNetlist(c.implPath);
-    if (!base.isOk())
-      return Status::invalidInput("impl netlist: " + base.status().message());
-    Result<Netlist> spec = loadAnyNetlist(c.specPath);
-    if (!spec.isOk())
-      return Status::invalidInput("spec netlist: " + spec.status().message());
-    SysecoOptions eopt;
-    eopt.seed = c.seed;
-    std::string payload =
-        encodeFleetCase(base.value(), spec.value(), eopt, {});
-    auto [it, inserted] = payloads.emplace(c.name, std::move(payload));
-    (void)inserted;
-    return Result<const std::string*>(&it->second);
-  }
-
-  /// Re-queues a failed dispatch with the deterministic case-level backoff,
-  /// or quarantines it past the attempt ceiling.
-  void requeueOrQuarantine(BatchCase& c, const std::string& cause,
-                           const std::string& detail, double now) {
-    if (c.attempt >= opt.maxAttempts) {
-      ledger.markFailed(c, cause,
-                        "quarantined after " + std::to_string(c.attempt) +
-                            " attempt(s); last failure: " + detail);
-      log("case " + c.name + " quarantined (" + cause + "): " + detail);
-      return;
-    }
-    ledger.markRequeued(c, cause, detail);
-    notBefore[c.name] =
-        now + caseRedispatchBackoffSeconds(opt.backoffBaseMs, c.seed,
-                                           ordinalOf(c.name),
-                                           static_cast<int>(c.attempt));
-    log("case " + c.name + " re-queued with resume (" + cause + "): " +
-        detail);
-  }
-
-  void degradeToLocal(const std::string& why) {
-    if (degraded) return;
-    degraded = true;
-    ledger.note("fleet-degraded: " + why + "; continuing with the local pool");
-    std::fprintf(stderr,
-                 "[syseco-batch] fleet degraded below --fleet-min-workers; "
-                 "continuing with the local pool\n");
-    dispatcher.closeAll();
-  }
-
-  void dispatchRemote(BatchCase& c, double now) {
-    Result<const std::string*> payload = payloadFor(c);
-    if (!payload.isOk()) {
-      // Broken inputs fail the same way on every transport: quarantine
-      // without consuming retries on unreachable work.
-      ledger.markFailed(c, "invalid-input", payload.status().message());
-      return;
-    }
-    Result<CaseDispatcher::Assignment> a = dispatcher.assign(
-        c.name, *payload.value(), c.jobs, c.attempt + 1, now);
-    if (!a.isOk()) return;  // no peer accepted; health check next tick
-    ledger.markDispatched(c, c.attempt + 1, a.value().worker,
-                          a.value().epoch);
-  }
-
-  void dispatchLocal(BatchCase& c, double now) {
-    const std::int64_t attempt = c.attempt + 1;
-    const bool resume = c.resume;
-    if (Status s = ledger.markDispatched(c, attempt, "", 0); !s.isOk()) {
-      std::fprintf(stderr, "[syseco-batch] cannot journal dispatch of %s: %s\n",
-                   c.name.c_str(), std::string(s.message()).c_str());
-      return;
-    }
-    std::vector<std::string> argv = {
-        opt.selfExe,
-        "--impl", c.implPath,
-        "--spec", c.specPath,
-        resume ? "--resume" : "--journal", ledger.engineJournalDir(c),
-        "--report", ledger.reportPath(c),
-        "--out", ledger.outPath(c),
-        "--seed", std::to_string(c.seed),
-        "--jobs", std::to_string(c.jobs),
-    };
-    Status spawned =
-        pool.spawn(c.name, static_cast<int>(attempt), argv,
-                   ledger.workerLogPath(c), {});
-    if (!spawned.isOk()) {
-      requeueOrQuarantine(c, "crash", "spawn failed: " +
-                                          std::string(spawned.message()),
-                          now);
-      return;
-    }
-    log("case " + c.name + " -> local pool (attempt " +
-        std::to_string(attempt) + (resume ? ", resume)" : ")"));
-  }
-
-  void settleRemote(const CaseDispatcher::Event& ev, double now) {
-    switch (ev.kind) {
-      case CaseDispatcher::EventKind::kResult: {
-        BatchCase* c = ledger.find(ev.name);
-        if (c == nullptr || c->state != CaseState::kRunning) return;
-        Result<Netlist> nl = Netlist::restoreRawString(ev.result.netlist);
-        if (!nl.isOk()) {
-          requeueOrQuarantine(*c, "garbage-ipc",
-                              "result netlist failed validation: " +
-                                  std::string(nl.status().message()),
-                              now);
-          return;
-        }
-        writeFileAtomic(ledger.reportPath(*c), ev.result.report);
-        saveAnyNetlist(ledger.outPath(*c), nl.value());
-        writeFileAtomic(ledger.verdictsPath(*c),
-                        ev.result.verdicts.empty()
-                            ? std::string()
-                            : ev.result.verdicts + "\n");
-        ledger.markDone(*c, ev.result.exitCode, ev.result.cacheHits,
-                        ev.result.cacheMisses, ev.result.cacheEvictions);
-        payloads.erase(ev.name);
-        log("case " + ev.name + " done on " + ev.worker + " (exit " +
-            std::to_string(ev.result.exitCode) + ", cache " +
-            std::to_string(ev.result.cacheHits) + "h/" +
-            std::to_string(ev.result.cacheMisses) + "m/" +
-            std::to_string(ev.result.cacheEvictions) + "e)");
-        return;
-      }
-      case CaseDispatcher::EventKind::kFailure: {
-        BatchCase* c = ledger.find(ev.name);
-        if (c == nullptr || c->state != CaseState::kRunning) return;
-        requeueOrQuarantine(*c, ev.cause, ev.detail, now);
-        return;
-      }
-      case CaseDispatcher::EventKind::kStaleDiscard:
-        ledger.note("stale-epoch duplicate from " + ev.worker +
-                    " discarded (case " + ev.name + "): " + ev.detail);
-        log("stale duplicate from " + ev.worker + " discarded");
-        return;
-      case CaseDispatcher::EventKind::kPeerDead:
-        ledger.note("worker " + ev.worker + " marked dead (" + ev.cause +
-                    "): " + ev.detail);
-        return;
-    }
-  }
-
-  void reapLocal(double now) {
-    for (const WorkerExit& e : pool.reap()) {
-      BatchCase* c = ledger.find(e.job);
-      if (c == nullptr || c->state != CaseState::kRunning) continue;
-      if (!e.retryable) {
-        ledger.markDone(*c, e.exitCode, 0, 0, 0);
-        // The local worker's verdicts live in its engine journal; mirror
-        // them to the same artifact a remote result writes so every case
-        // directory compares the same way.
-        writeFileAtomic(ledger.verdictsPath(*c),
-                        verdictsLineFromJournal(ledger.engineJournalDir(*c)) +
-                            "\n");
-        log("case " + c->name + " done locally (exit " +
-            std::to_string(e.exitCode) + ", attempt " +
-            std::to_string(e.attempt) + ")");
-        continue;
-      }
-      const std::string how = e.signaled
-                                  ? "signal " + std::to_string(e.signal)
-                                  : "exit " + std::to_string(e.exitCode);
-      requeueOrQuarantine(*c, e.cause, "worker died (" + how + ")", now);
-    }
-  }
-
-  Status writeBatchReport() {
-    std::ostringstream os;
-    std::uint64_t hits = 0, misses = 0, evictions = 0;
-    os << "{\"cases\":[";
-    bool first = true;
-    for (const BatchCase* c : ledger.all()) {
-      if (!first) os << ",";
-      first = false;
-      os << "{\"name\":\"" << jsonEscape(c->name) << "\",\"state\":\""
-         << caseStateName(c->state) << "\",\"exit_code\":" << c->exitCode
-         << ",\"attempt\":" << c->attempt << ",\"worker\":\""
-         << jsonEscape(c->worker) << "\",\"cause\":\"" << jsonEscape(c->cause)
-         << "\",\"cache\":{\"hits\":" << c->cacheHits
-         << ",\"misses\":" << c->cacheMisses
-         << ",\"evictions\":" << c->cacheEvictions << "}}";
-      hits += c->cacheHits;
-      misses += c->cacheMisses;
-      evictions += c->cacheEvictions;
-    }
-    os << "],\"degraded_to_local\":" << (degraded ? "true" : "false")
-       << ",\"interrupted\":" << (interrupted ? "true" : "false")
-       << ",\"cache_totals\":{\"hits\":" << hits << ",\"misses\":" << misses
-       << ",\"evictions\":" << evictions << "}}\n";
-    return writeFileAtomic(ledger.stateDir() + "/batch_report.json", os.str());
-  }
-};
+  os << "],\"degraded_to_local\":" << (degraded ? "true" : "false")
+     << ",\"interrupted\":" << (interrupted ? "true" : "false")
+     << ",\"cache_totals\":{\"hits\":" << totals.hits
+     << ",\"misses\":" << totals.misses
+     << ",\"evictions\":" << totals.evictions << "}}\n";
+  return writeFileAtomic(queue.stateDir() + "/batch_report.json", os.str());
+}
 
 }  // namespace
 
@@ -710,113 +187,61 @@ Result<BatchOutcome> runBatch(const BatchOptions& opt) {
       parseBatchManifest(manifestText.value());
   if (!manifest.isOk()) return manifest.status();
 
-  Result<BatchLedger> opened = BatchLedger::open(opt.stateDir);
+  Result<JobQueue> opened = JobQueue::open(opt.stateDir);
   if (!opened.isOk()) return opened.status();
-  BatchLedger ledger = opened.take();
-  if (!opt.expectResume && ledger.hadCases())
+  if (!opt.expectResume && !opened.value().all().empty())
     return Status::invalidInput(
         "batch state directory '" + opt.stateDir +
         "' already holds a sweep; pass `--resume " + opt.stateDir +
         "` to continue it, or point --batch-state at a fresh directory");
+  Scheduler sched(opt, opened.take());
+  for (const ManifestCase& m : manifest.value())
+    if (Status s = registerCase(sched.queue(), m, opt); !s.isOk()) return s;
 
-  for (const std::string& n : ledger.recoveryNotes())
-    ledger.note("recovery: " + n);
-
-  CaseDispatcher::Options dopt;
-  dopt.workers = opt.workers;
-  dopt.leaseSeconds = opt.leaseSeconds;
-  dopt.connectTimeoutMs = opt.connectTimeoutMs;
-  dopt.minWorkers = opt.minWorkers;
-  dopt.verbose = opt.verbose;
-  CaseDispatcher dispatcher(std::move(dopt));
-  PoolWatchdog pool(PoolWatchdog::Options{opt.poolSize, opt.maxAttempts,
-                                          opt.backoffBaseMs});
-
-  BatchDriver d{opt, ledger, dispatcher, pool};
-  d.degraded = !dispatcher.enabled();
-
-  for (std::size_t i = 0; i < manifest.value().size(); ++i) {
-    const ManifestCase& m = manifest.value()[i];
-    Result<BatchCase*> reg = ledger.registerCase(
-        m.name, m.implPath, m.specPath,
-        m.hasSeed ? m.seed : opt.defaultSeed,
-        m.hasJobs ? m.jobs : opt.defaultJobs);
-    if (!reg.isOk()) return reg.status();
-  }
-  {
-    std::uint32_t ordinal = 0;
-    for (const BatchCase* c : ledger.all()) d.ordinals[c->name] = ordinal++;
-  }
-
+  bool interrupted = false;
   while (true) {
-    if (d.stopRequested()) {
-      d.interrupted = true;
+    if (opt.stop != nullptr && opt.stop->load(std::memory_order_relaxed)) {
+      interrupted = true;
       break;
     }
     // Fail closed on a poisoned WAL: once a storage fault latches the
-    // ledger's journal, no transition can be made durable - continuing
+    // queue's journal, no transition can be made durable - continuing
     // would spin on un-journalable dispatches and lose progress records.
     // Drain and return the structured cause; `--batch ... --resume` heals
     // from the last COMMIT-consistent prefix.
-    if (ledger.walPoisoned()) {
-      pool.terminateAll(kTerminateGraceSeconds);
-      dispatcher.closeAll();
+    if (sched.queue().walPoisoned()) {
+      sched.shutdown();
       return Status::internal(
-          "batch ledger WAL unusable (" + ledger.walPoisonCause() +
+          "queue WAL unusable (" + sched.queue().walPoisonCause() +
           "); sweep stopping - rerun with `--batch " + opt.manifestPath +
           " --resume " + opt.stateDir + "` to recover");
     }
-    std::size_t open = 0;
-    for (const BatchCase* c : ledger.all())
-      if (c->state == CaseState::kQueued || c->state == CaseState::kRunning)
-        ++open;
-    if (open == 0) break;
-
-    if (!d.degraded && !dispatcher.fleetUsable())
-      d.degradeToLocal(std::to_string(dispatcher.usableWorkers()) +
-                       " usable worker(s), minimum " +
-                       std::to_string(opt.minWorkers));
-
-    const double now = d.clock.seconds();
-    for (BatchCase* c : ledger.all()) {
-      if (c->state != CaseState::kQueued) continue;
-      if (auto it = d.notBefore.find(c->name);
-          it != d.notBefore.end() && now < it->second)
-        continue;  // still backing off; later cases may proceed
-      if (!d.degraded) {
-        if (!dispatcher.hasIdlePeer()) break;
-        d.dispatchRemote(*c, now);
-      } else {
-        if (!pool.hasIdleSlot()) break;
-        d.dispatchLocal(*c, now);
-      }
-    }
-
-    subprocess::pollReadable(dispatcher.pollFds(), kBatchTickMs);
-    const double settled = d.clock.seconds();
-    for (const CaseDispatcher::Event& ev : dispatcher.poll(settled))
-      d.settleRemote(ev, settled);
-    d.reapLocal(settled);
+    if (sched.queue().residentCount() == 0) break;
+    sched.tick();
+    subprocess::pollReadable(sched.pollFds(), kBatchTickMs);
   }
 
-  if (d.interrupted) {
+  if (interrupted) {
     // Clean drain: in-flight work stays "running" in the WAL so the next
     // life recovers it as queued-with-resume.
-    ledger.note("interrupted: draining to shutdown");
-    pool.terminateAll(kTerminateGraceSeconds);
-    dispatcher.closeAll();
+    (void)sched.queue().note("interrupted: draining to shutdown");
+    sched.shutdown();
   }
 
-  if (Status s = d.writeBatchReport(); !s.isOk()) return s;
+  if (Status s = writeBatchReport(sched.queue(),
+                                  opt.workers.empty() || sched.fleetDegraded(),
+                                  interrupted);
+      !s.isOk())
+    return s;
 
   BatchOutcome outcome;
-  outcome.degradedToLocal = d.degraded && dispatcher.enabled();
-  outcome.interrupted = d.interrupted;
-  for (const BatchCase* c : ledger.all()) {
-    if (c->state == CaseState::kDone) {
+  outcome.degradedToLocal = sched.fleetDegraded();
+  outcome.interrupted = interrupted;
+  for (const Job* j : sched.queue().all()) {
+    if (j->state == QueueState::kDone) {
       ++outcome.done;
-      outcome.worstCaseExit = std::max(outcome.worstCaseExit, c->exitCode);
-    } else if (c->state == CaseState::kFailed) {
+      outcome.worstCaseExit = std::max(outcome.worstCaseExit, j->exitCode);
+    } else if (j->state == QueueState::kFailed) {
       ++outcome.failed;
     }
   }

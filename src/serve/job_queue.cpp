@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "io/journal_io.hpp"
@@ -30,31 +30,36 @@ std::string formatExtension(const std::string& format) {
   return ".netlist";
 }
 
-/// Folds one WAL record into the job map. Unknown events are skipped (a
-/// newer daemon's WAL degrades to what this one understands).
+/// Folds one WAL record into the recovered job list (submission order;
+/// `index` maps ids to positions). Unknown events are skipped (a newer
+/// WAL degrades to what this build understands).
 void foldEvent(const JournalServeEvent& ev,
-               std::map<std::string, Job>& jobs) {
+               std::vector<std::unique_ptr<Job>>& jobs,
+               std::unordered_map<std::string, std::size_t>& index) {
   if (ev.event == "note" || ev.job.empty()) return;
+  auto it = index.find(ev.job);
   if (ev.event == "submitted") {
-    Job j;
-    j.id = ev.job;
-    j.tenant = ev.tenant;
-    j.format = ev.format.empty() ? "blif" : ev.format;
-    j.seed = ev.seed;
-    j.jobs = ev.jobs;
-    j.isolate = ev.isolate;
-    j.detach = ev.detach;
-    j.faultInject = ev.faultInject;
-    j.bytes = ev.bytes;
-    jobs[ev.job] = std::move(j);
+    if (it != index.end()) return;  // duplicate submit: first one wins
+    auto j = std::make_unique<Job>();
+    j->id = ev.job;
+    j->tenant = ev.tenant;
+    j->format = ev.format.empty() ? "blif" : ev.format;
+    j->seed = ev.seed;
+    j->jobs = ev.jobs;
+    j->isolate = ev.isolate;
+    j->detach = ev.detach;
+    j->faultInject = ev.faultInject;
+    j->bytes = ev.bytes;
+    index.emplace(ev.job, jobs.size());
+    jobs.push_back(std::move(j));
     return;
   }
-  auto it = jobs.find(ev.job);
-  if (it == jobs.end()) return;  // transition without a submit: dropped frame
-  Job& j = it->second;
+  if (it == index.end()) return;  // transition without a submit: dropped frame
+  Job& j = *jobs[it->second];
   if (ev.event == "running") {
     j.state = QueueState::kRunning;
     j.attempt = ev.attempt;
+    j.worker = ev.worker;
   } else if (ev.event == "recovered") {
     j.state = QueueState::kQueued;
     j.resume = true;
@@ -64,6 +69,8 @@ void foldEvent(const JournalServeEvent& ev,
     j.exitCode = ev.exitCode;
     j.cause = ev.cause;
     j.detail = ev.detail;
+    j.worker = ev.worker;
+    j.cache = CacheCounters{ev.cacheHits, ev.cacheMisses, ev.cacheEvictions};
   } else if (ev.event == "failed") {
     j.state = QueueState::kFailed;
     j.cause = ev.cause;
@@ -91,6 +98,10 @@ JournalServeEvent eventFor(const std::string& event, const Job& job) {
   ev.cause = job.cause;
   ev.detail = job.detail;
   ev.faultInject = job.faultInject;
+  ev.worker = job.worker;
+  ev.cacheHits = job.cache.hits;
+  ev.cacheMisses = job.cache.misses;
+  ev.cacheEvictions = job.cache.evictions;
   return ev;
 }
 
@@ -127,7 +138,8 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
   // dropped (with diagnostics) by the framing layer.
   Result<JournalScan> scan = scanJournal(stateDir + kQueueSubdir);
   if (!scan.isOk()) return scan.status();
-  std::map<std::string, Job> folded;
+  std::vector<std::unique_ptr<Job>> folded;
+  std::unordered_map<std::string, std::size_t> index;
   std::size_t droppedPayloads = 0;
   for (const JournalFrame& frame : scan.value().frames) {
     Result<JournalServeEvent> ev = parseServeEvent(frame.payload);
@@ -135,7 +147,7 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
       ++droppedPayloads;
       continue;
     }
-    foldEvent(ev.value(), folded);
+    foldEvent(ev.value(), folded, index);
   }
   for (const std::string& d : scan.value().diagnostics)
     q.recoveryNotes_.push_back("queue WAL: " + d);
@@ -147,16 +159,16 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
   // Jobs that were mid-run when the daemon died come back queued with the
   // resume flag: their engine journals hold every committed checkpoint,
   // and --resume re-certifies and continues from there.
-  for (auto& [id, job] : folded) {
-    if (job.state == QueueState::kRunning) {
-      job.state = QueueState::kQueued;
-      job.resume = true;
-      q.recoveryNotes_.push_back("job " + id +
+  for (std::unique_ptr<Job>& job : folded) {
+    if (job->state == QueueState::kRunning) {
+      job->state = QueueState::kQueued;
+      job->resume = true;
+      q.recoveryNotes_.push_back("job " + job->id +
                                  " was mid-run at shutdown; re-queued with "
                                  "resume (attempt " +
-                                 std::to_string(job.attempt) + ")");
-    } else if (job.state == QueueState::kQueued && job.resume) {
-      q.recoveryNotes_.push_back("job " + id +
+                                 std::to_string(job->attempt) + ")");
+    } else if (job->state == QueueState::kQueued && job->resume) {
+      q.recoveryNotes_.push_back("job " + job->id +
                                  " restored as queued-with-resume");
     }
   }
@@ -166,19 +178,20 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
   // chaos harness can treat a surviving one as a leak).
   removeStaleStaging(stateDir);
   removeStaleStaging(stateDir + "/jobs");
-  for (const auto& [id, job] : folded) removeStaleStaging(q.jobDir(id));
+  for (const std::unique_ptr<Job>& job : folded)
+    removeStaleStaging(q.jobDir(job->id));
 
   // Compact: rewrite the WAL from the folded state so its length tracks
   // queue occupancy, not daemon lifetime. The rewrite is staged and
   // renamed (createCompacted), so a kill at any instant leaves either the
   // complete old WAL or the complete new one - never a truncated mix.
   std::vector<std::string> compacted;
-  for (auto& [id, job] : folded) {
-    compacted.push_back(serializeServeEvent(eventFor("submitted", job)));
+  for (std::unique_ptr<Job>& job : folded) {
+    compacted.push_back(serializeServeEvent(eventFor("submitted", *job)));
     const char* transition = nullptr;
-    switch (job.state) {
+    switch (job->state) {
       case QueueState::kQueued:
-        if (job.resume) transition = "recovered";
+        if (job->resume) transition = "recovered";
         break;
       case QueueState::kRunning: transition = "running"; break;
       case QueueState::kDone: transition = "done"; break;
@@ -186,18 +199,14 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
       case QueueState::kCancelled: transition = "cancelled"; break;
     }
     if (transition != nullptr)
-      compacted.push_back(serializeServeEvent(eventFor(transition, job)));
-    q.nextId_ = std::max(q.nextId_, numericSuffix(id) + 1);
-    q.jobs_.push_back(std::make_unique<Job>(std::move(job)));
+      compacted.push_back(serializeServeEvent(eventFor(transition, *job)));
+    q.nextId_ = std::max(q.nextId_, numericSuffix(job->id) + 1);
   }
+  q.jobs_ = std::move(folded);
   Result<JournalWriter> wal = JournalWriter::createCompacted(
       stateDir + kQueueSubdir, compacted, "queue.wal");
   if (!wal.isOk()) return wal.status();
   q.wal_ = wal.take();
-  std::sort(q.jobs_.begin(), q.jobs_.end(),
-            [](const std::unique_ptr<Job>& a, const std::unique_ptr<Job>& b) {
-              return numericSuffix(a->id) < numericSuffix(b->id);
-            });
   return q;
 }
 
@@ -230,12 +239,24 @@ Admission JobQueue::admit(const std::string& tenant,
   return a;
 }
 
-Result<Job*> JobQueue::submit(const SubmitRequest& request) {
+Result<Job*> JobQueue::submit(const SubmitRequest& request,
+                              const std::string& name) {
+  if (Job* existing = name.empty() ? nullptr : find(name)) {
+    if (existing->seed != request.seed || existing->jobs != request.jobs ||
+        existing->format != request.format ||
+        readFileOrEmpty(implPath(*existing)) != request.implText ||
+        readFileOrEmpty(specPath(*existing)) != request.specText)
+      return Status::invalidInput(
+          "job '" + name +
+          "' already in the queue with different inputs; refusing to "
+          "resume a different sweep");
+    return existing;
+  }
   char idBuf[16];
   std::snprintf(idBuf, sizeof(idBuf), "j%06llu",
                 static_cast<unsigned long long>(nextId_));
   Job job;
-  job.id = idBuf;
+  job.id = name.empty() ? idBuf : name;
   job.tenant = request.tenant;
   job.format = request.format;
   job.seed = request.seed;
@@ -255,15 +276,9 @@ Result<Job*> JobQueue::submit(const SubmitRequest& request) {
   if (Status s = wal_.append(serializeServeEvent(eventFor("submitted", job)));
       !s.isOk())
     return s;
-  ++nextId_;
+  if (name.empty()) ++nextId_;
   jobs_.push_back(std::make_unique<Job>(std::move(job)));
   return jobs_.back().get();
-}
-
-Job* JobQueue::nextQueued() {
-  for (std::unique_ptr<Job>& j : jobs_)
-    if (j->state == QueueState::kQueued) return j.get();
-  return nullptr;
 }
 
 Job* JobQueue::find(const std::string& id) {
@@ -283,25 +298,31 @@ Status JobQueue::appendEvent(const std::string& event, const Job& job) {
   return wal_.append(serializeServeEvent(eventFor(event, job)));
 }
 
-Status JobQueue::markRunning(Job& job, std::int64_t attempt) {
+Status JobQueue::markRunning(Job& job, std::int64_t attempt,
+                             const std::string& worker) {
   Job next = job;
   next.attempt = attempt;
+  next.worker = worker;
   if (Status s = appendEvent("running", next); !s.isOk()) return s;
   job.state = QueueState::kRunning;
   job.attempt = attempt;
+  job.worker = worker;
   return Status::ok();
 }
 
-Status JobQueue::markDone(Job& job, std::int64_t exitCode) {
+Status JobQueue::markDone(Job& job, std::int64_t exitCode,
+                          const CacheCounters& cache) {
   Job next = job;
   next.exitCode = exitCode;
   next.cause.clear();
   next.detail.clear();
+  next.cache = cache;
   if (Status s = appendEvent("done", next); !s.isOk()) return s;
   job.state = QueueState::kDone;
   job.exitCode = exitCode;
   job.cause.clear();
   job.detail.clear();
+  job.cache = cache;
   return Status::ok();
 }
 
@@ -395,6 +416,10 @@ std::string JobQueue::reportPath(const Job& job) const {
 
 std::string JobQueue::outPath(const Job& job) const {
   return jobDir(job.id) + "/out" + formatExtension(job.format);
+}
+
+std::string JobQueue::verdictsPath(const Job& job) const {
+  return jobDir(job.id) + "/verdicts.txt";
 }
 
 std::string JobQueue::workerLogPath(const Job& job) const {

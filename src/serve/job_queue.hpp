@@ -1,12 +1,13 @@
 #pragma once
-// WAL-backed durable job queue for the --serve daemon.
+// WAL-backed durable job queue: the one ledger behind the --serve daemon
+// and the --batch sweep driver.
 //
 // Every queue transition (submitted, running, done, failed, cancelled,
 // recovered) is appended to a util/journal write-ahead log *before* the
-// in-memory state mutates, with fsync-per-record durability. A daemon
+// in-memory state mutates, with fsync-per-record durability. A process
 // killed with SIGKILL at any instant recovers the queue exactly by folding
 // the WAL: terminal states stay terminal, queued jobs stay queued, and
-// jobs that were mid-run come back as queued-with-resume so the dispatcher
+// jobs that were mid-run come back as queued-with-resume so the scheduler
 // re-runs them with --resume against their own engine journals - which is
 // what makes post-crash verdict records bit-identical to an uninterrupted
 // run (the engine's resume invariant, proven by the kill-and-resume suite).
@@ -14,18 +15,20 @@
 // On-disk layout under the state directory:
 //
 //   queue/            the WAL (journal.jsonl + COMMIT), serve-event records
-//   jobs/<id>/        one directory per job:
+//   jobs/<id>/        one directory per job (daemon id or manifest name):
 //     impl.<fmt>, spec.<fmt>   the submitted netlist texts
 //     journal/                 the job's own engine run journal
 //     report.json, out.<fmt>   the finished run's artifacts
-//     worker.log               captured stdout/stderr of the job worker
+//     verdicts.txt             the oracle's verdicts record (one line)
+//     worker.log               captured stdout/stderr of a local worker
+//   batch_report.json  (--batch only) the sweep summary
 //
 // The WAL is compacted on every open: recovery folds the old log, then a
 // fresh log is written with one submitted record per live job plus its
 // current state, so the WAL length is bounded by queue occupancy, not
-// daemon lifetime. Admission control reads its ledgers (resident job
-// count, per-tenant depth, resident payload bytes) straight from the
-// folded state.
+// process lifetime. Jobs keep their submission order across recovery.
+// Admission control reads its ledgers (resident job count, per-tenant
+// depth, resident payload bytes) straight from the folded state.
 
 #include <cstdint>
 #include <memory>
@@ -42,9 +45,18 @@ enum class QueueState { kQueued, kRunning, kDone, kFailed, kCancelled };
 
 const char* queueStateName(QueueState s);
 
+/// Agent CaseCacheLru counters snapshotted with a remote result.
+struct CacheCounters {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+};
+
 /// One job's durable record plus dispatch bookkeeping.
 struct Job {
-  std::string id;  ///< "j%06u", monotonically assigned, crash-stable
+  /// "j%06u" for daemon submissions (monotonically assigned, crash-stable)
+  /// or the manifest case name for batch registrations.
+  std::string id;
   std::string tenant;
   std::string format;  ///< blif | v | netlist (artifact file extensions)
   std::uint64_t seed = 1;
@@ -62,6 +74,8 @@ struct Job {
   /// journal behind: dispatch with --resume so committed per-output
   /// progress is kept and the final verdicts stay bit-identical.
   bool resume = false;
+  std::string worker;   ///< last dispatch target ("host:port"; "" = local)
+  CacheCounters cache;  ///< agent cache counters of the finishing run
 };
 
 struct AdmissionLimits {
@@ -91,17 +105,22 @@ class JobQueue {
   /// Persists the job: payload files first, then the WAL submitted record,
   /// then the in-memory entry. A crash between the two leaves only an
   /// orphaned payload directory, never a WAL record without its payload.
-  Result<Job*> submit(const SubmitRequest& request);
-
-  /// Oldest queued job, or null. FIFO in id order.
-  Job* nextQueued();
+  /// An empty `name` assigns the next daemon id. A non-empty one (a batch
+  /// manifest case, already a validFleetCaseName) registers the job under
+  /// that name and is idempotent: a job already recorded under it with the
+  /// same seed, jobs, format and payload is returned as-is, while different
+  /// inputs are kInvalidInput (resuming a different sweep is refused).
+  Result<Job*> submit(const SubmitRequest& request,
+                      const std::string& name = {});
 
   Job* find(const std::string& id);
   std::vector<Job*> all();
 
   // Durable transitions: WAL append first (fsync'd), then the mutation.
-  Status markRunning(Job& job, std::int64_t attempt);
-  Status markDone(Job& job, std::int64_t exitCode);
+  Status markRunning(Job& job, std::int64_t attempt,
+                     const std::string& worker = {});
+  Status markDone(Job& job, std::int64_t exitCode,
+                  const CacheCounters& cache = {});
   Status markFailed(Job& job, const std::string& cause,
                     const std::string& detail);
   Status markCancelled(Job& job, const std::string& cause,
@@ -128,6 +147,7 @@ class JobQueue {
   std::string engineJournalDir(const Job& job) const;
   std::string reportPath(const Job& job) const;
   std::string outPath(const Job& job) const;
+  std::string verdictsPath(const Job& job) const;
   std::string workerLogPath(const Job& job) const;
 
   const std::string& stateDir() const { return stateDir_; }
@@ -136,9 +156,9 @@ class JobQueue {
   }
 
   /// True once a storage fault latched the WAL writer (failed write/fsync
-  /// or COMMIT-marker replacement). The daemon fails closed on it: no
-  /// transition can be made durable, so no further work may be accepted
-  /// or dispatched - restart and recover instead.
+  /// or COMMIT-marker replacement). Daemon and batch driver fail closed on
+  /// it: no transition can be made durable, so no further work may be
+  /// accepted or dispatched - restart (or --resume) and recover instead.
   bool walPoisoned() const { return wal_.poisoned(); }
   const std::string& walPoisonCause() const { return wal_.poisonCause(); }
 
@@ -149,7 +169,8 @@ class JobQueue {
 
   std::string stateDir_;
   JournalWriter wal_;
-  /// Stable addresses (the daemon holds Job* across ticks), id order.
+  /// Stable addresses (the scheduler holds Job* across ticks), submission
+  /// order.
   std::vector<std::unique_ptr<Job>> jobs_;
   std::uint64_t nextId_ = 1;
   std::vector<std::string> recoveryNotes_;

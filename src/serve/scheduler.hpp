@@ -1,0 +1,262 @@
+#pragma once
+// The one job scheduler behind the --serve daemon and the --batch sweep.
+//
+// Scheduler owns the durable JobQueue and everything that moves a job
+// through it: the CaseDispatcher that ships whole cases to --serve-worker
+// agents, the PoolWatchdog that fork/execs local engine workers, retry
+// clocks, fleet degradation, result settling, reaping, requeue/quarantine
+// and artifact writes. It advances in one non-blocking tick(); the daemon
+// is client sessions plus that tick, and runBatch is manifest registration
+// plus that tick until no job is resident.
+//
+// One policy for every job:
+//   - A job goes to an idle usable agent first, otherwise to an idle local
+//     slot. --isolate and fault-inject jobs run locally only.
+//   - `running` is journaled only once a worker holds the job: a refused
+//     connect strikes the agent, never the job's attempt budget.
+//   - Failed attempts re-queue with resume, paced by
+//     caseRedispatchBackoffSeconds keyed by crc32(job id), and quarantine
+//     (fail) past the attempt ceiling.
+//   - Every done job has report.json, out.<fmt> and verdicts.txt, each
+//     written atomically and checked before the job is marked done; a
+//     failed write re-queues the job through the retry path instead.
+//
+// CaseDispatcher is the supervisor side of the kTypeFleetCaseTask protocol
+// (eco/isolate): it multiplexes every agent connection over one poll loop,
+// uploads case payloads on demand through the crc32 content-addressed
+// need-case handshake (so an agent's CaseCacheLru amortizes the upload
+// across retries), renews case leases from agent heartbeats, and classifies
+// everything that can go wrong - transport breaks, contained failures,
+// expired leases, stale-epoch duplicates from reassigned cases - into
+// events the scheduler folds into the queue. Peer health follows the
+// per-output fleet's rules: two strikes mark a peer dead, a lease-expired
+// peer keeps its connection (the late duplicate is cheaper to discard by
+// epoch than a stream resync) but stops counting toward fleet health until
+// it answers. When fewer than fleetMinWorkers agents stay usable the
+// scheduler degrades - permanently for its lifetime - to the local pool.
+
+#include <atomic>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "eco/isolate.hpp"
+#include "serve/codec.hpp"
+#include "serve/job_queue.hpp"
+#include "serve/watchdog.hpp"
+#include "util/ipc.hpp"
+#include "util/status.hpp"
+#include "util/timer.hpp"
+
+namespace syseco::serve {
+
+/// Per-case engine parallelism ceiling (--jobs), shared by the manifest
+/// parser and the case-task wire contract.
+inline constexpr std::int64_t kMaxCaseJobs = 256;
+
+/// Case-level redispatch pacing. Deliberately the per-output transports'
+/// retryBackoffSeconds contract (same doubling base, same cap, same
+/// seed-derived jitter) keyed by a case ordinal - crc32 of the job id - in
+/// place of the output index: no new RNG path, and the same job retries on
+/// the same deterministic schedule in every process life.
+double caseRedispatchBackoffSeconds(double backoffBaseMs, std::uint64_t seed,
+                                    std::uint32_t caseOrdinal,
+                                    int failedAttempts);
+
+/// Admission-time payload validation: a job whose netlists cannot parse
+/// must be refused (daemon) or failed as invalid-input (batch), never
+/// dispatched to fail.
+Status validatePayload(const SubmitRequest& request);
+
+/// Case-level fleet scheduler: connects lazily, assigns whole cases,
+/// answers need-case uploads, and turns every asynchronous outcome into an
+/// Event stream the caller folds into its queue.
+class CaseDispatcher {
+ public:
+  struct Options {
+    std::vector<std::string> workers;  ///< "host:port" agent specs
+    double leaseSeconds = 10.0;
+    int connectTimeoutMs = 2000;
+    int minWorkers = 1;  ///< usable-agent floor before degradation
+    bool verbose = false;
+  };
+
+  /// A successful dispatch: which agent took the case under which epoch.
+  struct Assignment {
+    std::string worker;
+    std::uint64_t epoch = 0;
+  };
+
+  enum class EventKind {
+    kResult,        ///< decoded whole-case result for the live assignment
+    kFailure,       ///< the assignment failed; the case must be re-queued
+    kStaleDiscard,  ///< duplicate from a reclaimed epoch, discarded
+    kPeerDead,      ///< an agent crossed the strike limit (no case attached)
+  };
+
+  struct Event {
+    EventKind kind = EventKind::kFailure;
+    std::string name;   ///< assigned case (kResult/kFailure/kStaleDiscard)
+    std::string worker;
+    std::int64_t attempt = 0;  ///< dispatch ordinal of the assignment
+    FleetCaseResult result;    ///< kResult only
+    std::string cause;   ///< workerExitCauseName token (kFailure/kPeerDead)
+    std::string detail;
+  };
+
+  explicit CaseDispatcher(Options opt);
+  ~CaseDispatcher();
+  CaseDispatcher(const CaseDispatcher&) = delete;
+  CaseDispatcher& operator=(const CaseDispatcher&) = delete;
+
+  bool enabled() const { return !opt_.workers.empty(); }
+  /// Agents that can take (or are computing) work: not dead, not lagging
+  /// behind an expired lease.
+  std::size_t usableWorkers() const;
+  /// True while usableWorkers() still meets the minWorkers floor.
+  bool fleetUsable() const;
+  bool hasIdlePeer() const;
+
+  /// Dispatches one whole case to an idle usable agent. `casePayload` is
+  /// the encodeFleetCase document (kept for need-case answers until the
+  /// assignment settles); `attempt` is the queue's dispatch ordinal,
+  /// carried back in every event about this assignment. Peers that refuse
+  /// the connection or the send are struck and the next idle peer is
+  /// tried; kInternal when none accepted (the case stays queued).
+  Result<Assignment> assign(const std::string& name, std::string casePayload,
+                            std::int64_t jobs, std::int64_t attempt,
+                            double nowSeconds);
+
+  /// Readable fds for the caller's poll tick (all live agent connections).
+  std::vector<int> pollFds() const;
+
+  /// One non-blocking pump of every agent connection plus lease
+  /// enforcement. Returns the events that settled this tick.
+  std::vector<Event> poll(double nowSeconds);
+
+  void closeAll();
+
+ private:
+  struct Peer {
+    std::string spec;  ///< "host:port" as configured
+    std::string host;
+    std::uint16_t port = 0;
+    int fd = -1;
+    std::string rx;
+    int strikes = 0;
+    bool dead = false;
+    /// Lease expired with the connection kept: out of the health count
+    /// until the stale duplicate lands (or the stream breaks).
+    bool lagging = false;
+    bool busy = false;
+    std::string caseName;
+    std::string casePayload;  ///< for need-case answers mid-assignment
+    std::uint32_t caseCrc = 0;
+    std::uint64_t epoch = 0;
+    std::int64_t attempt = 0;
+    double deadline = 0.0;
+  };
+
+  void log(const std::string& msg) const;
+  /// Strikes `p` and tears the connection down; reclaims its case (as a
+  /// kFailure event) when one was in flight.
+  void breakPeer(Peer& p, const std::string& cause, const std::string& why,
+                 std::vector<Event>& out);
+  void servicePeer(Peer& p, double nowSeconds, std::vector<Event>& out);
+  void handleFrame(Peer& p, const ipc::Frame& frame, double nowSeconds,
+                   std::vector<Event>& out);
+  Event reclaim(Peer& p, const std::string& cause, const std::string& why);
+
+  Options opt_;
+  std::vector<Peer> peers_;
+  std::uint64_t epochCounter_ = 0;
+  /// Peer-death notes raised inside assign(), drained by the next poll().
+  std::vector<Event> pending_;
+};
+
+/// The knobs --serve and --batch share (CLI flags plus plumbing).
+struct SchedulerOptions {
+  std::string stateDir;  ///< queue WAL + per-job artifact directories
+  std::string selfExe;   ///< binary exec'd per local job (the CLI's own)
+  std::size_t poolSize = 1;      ///< local fork/exec pool width
+  int maxAttempts = 3;           ///< dispatches per job before quarantine
+  double backoffBaseMs = 100.0;  ///< caseRedispatchBackoffSeconds base
+  /// Remote whole-case dispatch over --serve-worker agents; empty runs
+  /// everything on the local pool.
+  std::vector<std::string> workers;
+  double fleetLeaseSeconds = 10.0;
+  int fleetConnectTimeoutMs = 2000;
+  int fleetMinWorkers = 1;
+  bool verbose = false;
+  /// Polled by the driving loop; a set flag drains to a clean shutdown
+  /// (running jobs are terminated and recovered as queued-with-resume by
+  /// the next process life).
+  std::atomic<bool>* stop = nullptr;
+};
+
+class Scheduler {
+ public:
+  /// Takes over an opened queue and journals its recovery notes. `opt` is
+  /// held by reference and must outlive the scheduler.
+  Scheduler(const SchedulerOptions& opt, JobQueue queue);
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+
+  JobQueue& queue() { return queue_; }
+
+  /// Readable fds for the caller's poll wait (agent connections).
+  std::vector<int> pollFds() const { return dispatcher_.pollFds(); }
+
+  /// One non-blocking step: settle fleet events, reap local exits, then
+  /// dispatch queued jobs onto free capacity.
+  void tick();
+
+  /// Cancels a queued or running job (terminating its local worker);
+  /// terminal jobs are left alone.
+  void cancel(Job& job, const std::string& cause, const std::string& detail);
+
+  /// Terminates in-flight work and closes every agent connection. Running
+  /// jobs stay `running` in the WAL, so the next life resumes them.
+  void shutdown();
+
+  /// True once the fleet fell below fleetMinWorkers and dispatch degraded
+  /// to the local pool for the rest of this scheduler's life.
+  bool fleetDegraded() const { return fleetDegraded_; }
+  std::size_t localBusy() const { return watchdog_.busy(); }
+
+  /// stderr diagnostics under --verbose.
+  void log(const std::string& msg) const;
+  /// Journaled warning: visible in the WAL (note record) and on stderr.
+  void warn(const std::string& msg);
+
+ private:
+  void serviceFleet();
+  void settle(const CaseDispatcher::Event& ev, double now);
+  void reapExits(double now);
+  void dispatchQueued();
+  bool dispatchRemote(Job& job);
+  void dispatchLocal(Job& job);
+  /// Writes a finished job's artifacts, each atomically and checked, then
+  /// marks it done; a failed write re-queues it through retryOrQuarantine.
+  void finish(Job& job, std::int64_t exitCode, const CacheCounters& cache,
+              const std::vector<std::pair<std::string, std::string>>& files,
+              double now);
+  void retryOrQuarantine(Job& job, const std::string& cause,
+                         const std::string& detail, double now);
+
+  const SchedulerOptions& opt_;
+  JobQueue queue_;
+  PoolWatchdog watchdog_;
+  /// Idle (and never polled) when started without workers.
+  CaseDispatcher dispatcher_;
+  bool fleetDegraded_ = false;
+  /// Retry pacing: job id -> monotonic seconds before which it must not be
+  /// re-dispatched. Deliberately not persisted: clocks restart at zero in
+  /// the next process life.
+  std::map<std::string, double> notBefore_;
+  Timer clock_;
+};
+
+}  // namespace syseco::serve

@@ -1,31 +1,20 @@
 #include "serve/serve.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <utility>
 #include <vector>
 
-#include "io/blif_io.hpp"
-#include "io/netlist_io.hpp"
-#include "io/verilog_io.hpp"
-#include "serve/batch.hpp"
-#include "serve/watchdog.hpp"
 #include "util/atomic_file.hpp"
-#include "util/crc32.hpp"
 #include "util/io_retry.hpp"
 #include "util/ipc.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
-#include "util/timer.hpp"
 
 namespace syseco::serve {
 
 namespace {
 
 constexpr int kTickMs = 50;
-constexpr double kTerminateGraceSeconds = 1.0;
 
 /// One client session: its receive buffer and the non-detached jobs whose
 /// lifetime is bound to it.
@@ -35,42 +24,10 @@ struct Conn {
   std::vector<std::string> ownedJobs;
 };
 
-std::string slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return {};
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-/// Admission-time payload validation with the checked parsers: a job that
-/// cannot parse must be rejected at the door, not dispatched to fail.
-Status validatePayload(const SubmitRequest& r) {
-  const std::pair<const char*, const std::string*> texts[] = {
-      {"impl", &r.implText}, {"spec", &r.specText}};
-  for (const auto& [name, text] : texts) {
-    std::istringstream is(*text);
-    Result<Netlist> parsed = r.format == "blif"   ? readBlifChecked(is)
-                             : r.format == "v"    ? readVerilogChecked(is)
-                                                  : readNetlistChecked(is);
-    if (!parsed.isOk())
-      return Status::invalidInput(std::string(name) + " netlist: " +
-                                  parsed.status().message());
-  }
-  return Status::ok();
-}
-
 class Daemon {
  public:
   Daemon(const ServeOptions& opt, JobQueue queue)
-      : opt_(opt),
-        queue_(std::move(queue)),
-        watchdog_(PoolWatchdog::Options{opt.poolSize, opt.maxAttempts,
-                                        opt.backoffBaseMs}),
-        dispatcher_(CaseDispatcher::Options{opt.workers, opt.fleetLeaseSeconds,
-                                            opt.fleetConnectTimeoutMs,
-                                            opt.fleetMinWorkers,
-                                            opt.verbose}) {}
+      : opt_(opt), sched_(opt, std::move(queue)) {}
 
   Status run();
 
@@ -78,17 +35,6 @@ class Daemon {
   bool stopped() const {
     return opt_.stop != nullptr &&
            opt_.stop->load(std::memory_order_relaxed);
-  }
-
-  void log(const std::string& msg) {
-    if (opt_.verbose)
-      std::fprintf(stderr, "[syseco-serve] %s\n", msg.c_str());
-  }
-
-  /// Journaled warning: visible in the WAL (note record) and on stderr.
-  void warn(const std::string& msg) {
-    std::fprintf(stderr, "[syseco-serve] warning: %s\n", msg.c_str());
-    queue_.note("warning: " + msg);
   }
 
   void acceptClients(int listenFd);
@@ -99,42 +45,21 @@ class Daemon {
   void handleCancel(Conn& conn, const ipc::Frame& frame);
   void dropConnection(Conn& conn);
   JobState stateOf(Job& job, bool withArtifacts);
-  void dispatchQueued();
-  bool dispatchRemote(Job& job);
-  void serviceFleet();
-  void settleFleetEvent(const CaseDispatcher::Event& ev, double now);
-  void reapExits();
-  void cancelJob(Job& job, const std::string& cause,
-                 const std::string& detail);
-  void requeueRemote(Job& job, const std::string& cause,
-                     const std::string& detail, double now);
 
   const ServeOptions& opt_;
-  JobQueue queue_;
-  PoolWatchdog watchdog_;
-  /// Whole-case remote dispatch over --workers agents; idle (and never
-  /// polled) when the daemon was started without workers.
-  CaseDispatcher dispatcher_;
-  bool fleetDegraded_ = false;
+  Scheduler sched_;
   std::vector<Conn> conns_;
-  /// Retry pacing: job id -> monotonic seconds before which it must not
-  /// be re-dispatched.
-  std::map<std::string, double> notBefore_;
-  Timer clock_;
 };
 
 Status Daemon::run() {
-  for (const std::string& n : queue_.recoveryNotes()) {
-    log("recovery: " + n);
-    queue_.note("recovery: " + n);
-  }
+  JobQueue& queue = sched_.queue();
   std::uint16_t bound = 0;
   Result<int> listening = net::listenOn(opt_.port, &bound);
   if (!listening.isOk()) return listening.status();
   const int listenFd = listening.take();
   if (opt_.boundHook) opt_.boundHook(bound);
-  log("listening on port " + std::to_string(bound) + ", state dir " +
-      queue_.stateDir());
+  sched_.log("listening on port " + std::to_string(bound) + ", state dir " +
+             queue.stateDir());
 
   Status walFault = Status::ok();
   while (!stopped()) {
@@ -143,34 +68,30 @@ Status Daemon::run() {
     // to accept or dispatch work would silently drop state. Drain and
     // exit with the cause; a restart folds the WAL back to the last
     // COMMIT-consistent prefix and recovers every job.
-    if (queue_.walPoisoned()) {
+    if (queue.walPoisoned()) {
       walFault = Status::internal(
-          "queue WAL unusable (" + queue_.walPoisonCause() +
+          "queue WAL unusable (" + queue.walPoisonCause() +
           "); daemon stopping - restart to recover from the last COMMIT");
       std::fprintf(stderr, "[syseco-serve] fatal: %s\n",
                    walFault.message().c_str());
       break;
     }
-    std::vector<int> fds;
+    std::vector<int> fds = sched_.pollFds();
     fds.push_back(listenFd);
     for (const Conn& c : conns_) fds.push_back(c.fd);
-    for (int fd : dispatcher_.pollFds()) fds.push_back(fd);
     subprocess::pollReadable(fds, kTickMs);
     acceptClients(listenFd);
     serviceConnections();
-    serviceFleet();
-    reapExits();
-    dispatchQueued();
+    sched_.tick();
   }
 
   // Clean drain: terminate in-flight workers (their journals keep every
   // committed checkpoint) and leave their jobs running in the WAL - the
   // next daemon life recovers them as queued-with-resume.
-  log("stopping: terminating " + std::to_string(watchdog_.busy()) +
-      " in-flight worker(s)");
-  queue_.note("shutdown");
-  watchdog_.terminateAll(kTerminateGraceSeconds);
-  dispatcher_.closeAll();
+  sched_.log("stopping: terminating " + std::to_string(sched_.localBusy()) +
+             " in-flight worker(s)");
+  (void)queue.note("shutdown");
+  sched_.shutdown();
   for (Conn& c : conns_) net::closeSocket(c.fd);
   int fd = listenFd;
   net::closeSocket(fd);
@@ -182,7 +103,7 @@ void Daemon::acceptClients(int listenFd) {
     int softErr = 0;
     Result<int> client = net::acceptClient(listenFd, 0, &softErr);
     if (!client.isOk()) {
-      warn("accept failed: " + client.status().message());
+      sched_.warn("accept failed: " + client.status().message());
       return;
     }
     const int fd = client.take();
@@ -191,8 +112,8 @@ void Daemon::acceptClients(int listenFd) {
         // fd exhaustion or kernel resource pressure: journal it and back
         // off for one tick. The listener stays up; pending connections
         // stay queued in the kernel until fds free up.
-        warn("accept backoff: errno " + std::to_string(softErr) +
-             " (transient resource exhaustion); retrying");
+        sched_.warn("accept backoff: errno " + std::to_string(softErr) +
+                    " (transient resource exhaustion); retrying");
         subprocess::pollReadable({}, 200);
       }
       return;
@@ -200,8 +121,8 @@ void Daemon::acceptClients(int listenFd) {
     Conn c;
     c.fd = fd;
     conns_.push_back(std::move(c));
-    log("client connected (fd " + std::to_string(fd) + ", " +
-        std::to_string(conns_.size()) + " session(s))");
+    sched_.log("client connected (fd " + std::to_string(fd) + ", " +
+               std::to_string(conns_.size()) + " session(s))");
   }
 }
 
@@ -215,7 +136,7 @@ void Daemon::serviceConnections() {
       if (out.status != net::RecvStatus::kFrame) {
         // Closed, truncated, garbage or reset: same session teardown for
         // all of them - bound jobs are cancelled, detached jobs live on.
-        log("client gone (" + out.detail + ")");
+        sched_.log("client gone (" + out.detail + ")");
         alive = false;
         break;
       }
@@ -244,8 +165,8 @@ bool Daemon::handleFrame(Conn& conn, const ipc::Frame& frame) {
     default:
       // A known SEF1 frame that is not a serve verb: a confused peer
       // (e.g. a fleet supervisor dialed the wrong port). Drop the session.
-      log("unexpected frame type " + std::to_string(frame.type) +
-          "; dropping session");
+      sched_.log("unexpected frame type " + std::to_string(frame.type) +
+                 "; dropping session");
       return false;
   }
 }
@@ -255,7 +176,7 @@ void Daemon::handleSubmit(Conn& conn, const ipc::Frame& frame) {
     Rejected r;
     r.reason = reason;
     r.detail = detail;
-    log("rejected submit (" + reason + "): " + detail);
+    sched_.log("rejected submit (" + reason + "): " + detail);
     net::sendFrame(conn.fd, ipc::kTypeServeRejected, encodeRejected(r));
   };
   if (stopped()) {
@@ -269,7 +190,7 @@ void Daemon::handleSubmit(Conn& conn, const ipc::Frame& frame) {
   }
   const SubmitRequest req = decoded.take();
   const std::uint64_t bytes = req.implText.size() + req.specText.size();
-  Admission adm = queue_.admit(req.tenant, bytes, opt_.limits);
+  Admission adm = sched_.queue().admit(req.tenant, bytes, opt_.limits);
   if (!adm.admitted) {
     reject(adm.reason, adm.detail);
     return;
@@ -278,19 +199,21 @@ void Daemon::handleSubmit(Conn& conn, const ipc::Frame& frame) {
     reject("bad-request", s.message());
     return;
   }
-  Result<Job*> submitted = queue_.submit(req);
+  Result<Job*> submitted = sched_.queue().submit(req);
   if (!submitted.isOk()) {
     // Durability failure, not a client error: shed the job rather than
     // accept work the WAL cannot attest to.
-    warn("submit persistence failed: " + submitted.status().message());
+    sched_.warn("submit persistence failed: " +
+                submitted.status().message());
     reject("queue-full", "cannot persist job: " +
                              submitted.status().message());
     return;
   }
   Job* job = submitted.take();
   if (!job->detach) conn.ownedJobs.push_back(job->id);
-  log("accepted job " + job->id + " (tenant " + job->tenant + ", " +
-      std::to_string(bytes) + " bytes" + (job->detach ? ", detached)" : ")"));
+  sched_.log("accepted job " + job->id + " (tenant " + job->tenant + ", " +
+             std::to_string(bytes) + " bytes" +
+             (job->detach ? ", detached)" : ")"));
   Accepted ok;
   ok.job = job->id;
   net::sendFrame(conn.fd, ipc::kTypeServeAccepted, encodeAccepted(ok));
@@ -306,9 +229,9 @@ JobState Daemon::stateOf(Job& job, bool withArtifacts) {
   st.detail = job.detail;
   if (withArtifacts && (job.state == QueueState::kDone ||
                         job.state == QueueState::kFailed)) {
-    st.reportText = slurp(queue_.reportPath(job));
+    st.reportText = readFileOrEmpty(sched_.queue().reportPath(job));
     if (job.state == QueueState::kDone)
-      st.outText = slurp(queue_.outPath(job));
+      st.outText = readFileOrEmpty(sched_.queue().outPath(job));
   }
   return st;
 }
@@ -319,7 +242,7 @@ void Daemon::handleStatus(Conn& conn, const ipc::Frame& frame) {
   if (!ref.isOk()) {
     st.state = "unknown";
     st.detail = ref.status().message();
-  } else if (Job* job = queue_.find(ref.value().job)) {
+  } else if (Job* job = sched_.queue().find(ref.value().job)) {
     st = stateOf(*job, /*withArtifacts=*/true);
   } else {
     st.job = ref.value().job;
@@ -335,8 +258,8 @@ void Daemon::handleCancel(Conn& conn, const ipc::Frame& frame) {
   if (!ref.isOk()) {
     st.state = "unknown";
     st.detail = ref.status().message();
-  } else if (Job* job = queue_.find(ref.value().job)) {
-    cancelJob(*job, "client-cancel", "cancelled by request");
+  } else if (Job* job = sched_.queue().find(ref.value().job)) {
+    sched_.cancel(*job, "client-cancel", "cancelled by request");
     st = stateOf(*job, /*withArtifacts=*/false);
   } else {
     st.job = ref.value().job;
@@ -346,240 +269,12 @@ void Daemon::handleCancel(Conn& conn, const ipc::Frame& frame) {
   net::sendFrame(conn.fd, ipc::kTypeServeJobState, encodeJobState(st));
 }
 
-void Daemon::cancelJob(Job& job, const std::string& cause,
-                       const std::string& detail) {
-  if (job.state == QueueState::kRunning) {
-    watchdog_.terminate(job.id, kTerminateGraceSeconds);
-    queue_.markCancelled(job, cause, detail);
-    log("job " + job.id + " terminated and cancelled (" + cause + ")");
-  } else if (job.state == QueueState::kQueued) {
-    queue_.markCancelled(job, cause, detail);
-    log("job " + job.id + " cancelled while queued (" + cause + ")");
-  }
-  // Terminal states are left alone: cancel is idempotent and never
-  // rewrites history.
-}
-
 void Daemon::dropConnection(Conn& conn) {
   for (const std::string& id : conn.ownedJobs)
-    if (Job* job = queue_.find(id))
-      cancelJob(*job, "client-disconnect",
-                "submitting connection closed before completion");
+    if (Job* job = sched_.queue().find(id))
+      sched_.cancel(*job, "client-disconnect",
+                    "submitting connection closed before completion");
   net::closeSocket(conn.fd);
-}
-
-void Daemon::dispatchQueued() {
-  for (Job* job : queue_.all()) {
-    if (job->state != QueueState::kQueued) continue;
-    if (auto it = notBefore_.find(job->id);
-        it != notBefore_.end() && clock_.seconds() < it->second)
-      continue;  // still backing off; later queued jobs may proceed
-    // Plain jobs ride the fleet while it is healthy; --isolate and
-    // fault-inject jobs always run on the local pool (their semantics are
-    // local by construction).
-    const bool fleetEligible = !job->isolate && job->faultInject.empty();
-    if (fleetEligible && !fleetDegraded_ && dispatcher_.enabled() &&
-        dispatcher_.fleetUsable() && dispatcher_.hasIdlePeer()) {
-      if (dispatchRemote(*job)) continue;
-    }
-    if (!watchdog_.hasIdleSlot()) return;
-    const std::int64_t attempt = job->attempt + 1;
-    const bool resume = job->resume;
-    if (Status s = queue_.markRunning(*job, attempt); !s.isOk()) {
-      warn("cannot journal dispatch of " + job->id + ": " + s.message());
-      return;
-    }
-    std::vector<std::string> argv = {
-        opt_.selfExe,
-        "--impl", queue_.implPath(*job),
-        "--spec", queue_.specPath(*job),
-        resume ? "--resume" : "--journal", queue_.engineJournalDir(*job),
-        "--report", queue_.reportPath(*job),
-        "--out", queue_.outPath(*job),
-        "--seed", std::to_string(job->seed),
-        "--jobs", std::to_string(job->jobs),
-    };
-    if (job->isolate) argv.push_back("--isolate");
-    std::vector<std::string> env;
-    if (!job->faultInject.empty())
-      env.push_back("SYSECO_FAULT_INJECT=" + job->faultInject);
-    Status spawned = watchdog_.spawn(job->id, attempt, argv,
-                                     queue_.workerLogPath(*job), env);
-    if (!spawned.isOk()) {
-      warn("cannot spawn worker for " + job->id + ": " + spawned.message());
-      queue_.markRequeued(*job, "crash", "spawn failed: " +
-                                             spawned.message());
-      notBefore_[job->id] =
-          clock_.seconds() + watchdog_.backoffSeconds(attempt + 1);
-      continue;
-    }
-    log("dispatched job " + job->id + " (attempt " +
-        std::to_string(attempt) + (resume ? ", resume)" : ")"));
-  }
-}
-
-bool Daemon::dispatchRemote(Job& job) {
-  // Rebuild the case upload from the job's admitted payload files; any
-  // hiccup here falls back to the local pool rather than failing the job.
-  const std::string implText = slurp(queue_.implPath(job));
-  const std::string specText = slurp(queue_.specPath(job));
-  if (implText.empty() || specText.empty()) {
-    warn("job " + job.id + ": payload files unreadable; using the local pool");
-    return false;
-  }
-  auto parse = [&](const std::string& text) -> Result<Netlist> {
-    std::istringstream is(text);
-    return job.format == "blif" ? readBlifChecked(is)
-           : job.format == "v"  ? readVerilogChecked(is)
-                                : readNetlistChecked(is);
-  };
-  Result<Netlist> base = parse(implText);
-  Result<Netlist> spec = parse(specText);
-  if (!base.isOk() || !spec.isOk()) {
-    warn("job " + job.id + ": payload re-parse failed; using the local pool");
-    return false;
-  }
-  SysecoOptions eopt;
-  eopt.seed = job.seed;
-  const std::int64_t attempt = job.attempt + 1;
-  if (Status s = queue_.markRunning(job, attempt); !s.isOk()) {
-    warn("cannot journal dispatch of " + job.id + ": " +
-         std::string(s.message()));
-    return true;  // still queued; retried next tick
-  }
-  Result<CaseDispatcher::Assignment> a = dispatcher_.assign(
-      job.id, encodeFleetCase(base.value(), spec.value(), eopt, {}), job.jobs,
-      attempt, clock_.seconds());
-  if (!a.isOk()) {
-    requeueRemote(job, "conn-refused", "no usable agent accepted the case",
-                  clock_.seconds());
-    return true;
-  }
-  queue_.note("job " + job.id + " dispatched to " + a.value().worker +
-              " (epoch " + std::to_string(a.value().epoch) + ", attempt " +
-              std::to_string(attempt) + ")");
-  log("dispatched job " + job.id + " to " + a.value().worker + " (attempt " +
-      std::to_string(attempt) + ")");
-  return true;
-}
-
-void Daemon::requeueRemote(Job& job, const std::string& cause,
-                           const std::string& detail, double now) {
-  if (job.attempt >= opt_.maxAttempts) {
-    queue_.markFailed(job, cause,
-                      "quarantined after " + std::to_string(job.attempt) +
-                          " attempt(s); last failure: " + detail);
-    log("job " + job.id + " quarantined (" + cause + "): " + detail);
-    return;
-  }
-  queue_.markRequeued(job, cause, detail);
-  // Case-level redispatch rides the per-output transports' deterministic
-  // backoff contract, keyed by the job id's crc32 as the case ordinal.
-  notBefore_[job.id] =
-      now + caseRedispatchBackoffSeconds(opt_.backoffBaseMs, job.seed,
-                                         crc32(job.id),
-                                         static_cast<int>(job.attempt));
-  log("job " + job.id + " re-queued after remote failure (" + cause + "): " +
-      detail);
-}
-
-void Daemon::serviceFleet() {
-  if (!dispatcher_.enabled()) return;
-  if (!fleetDegraded_ && !dispatcher_.fleetUsable()) {
-    fleetDegraded_ = true;
-    const std::string why =
-        std::to_string(dispatcher_.usableWorkers()) +
-        " usable worker(s), minimum " + std::to_string(opt_.fleetMinWorkers);
-    warn("fleet degraded (" + why +
-         "); continuing with the local watchdog pool");
-    // closeAll reclaims in-flight remote cases; poll() below surfaces them
-    // as failure events that re-queue onto the local pool.
-    dispatcher_.closeAll();
-  }
-  const double now = clock_.seconds();
-  for (const CaseDispatcher::Event& ev : dispatcher_.poll(now))
-    settleFleetEvent(ev, now);
-}
-
-void Daemon::settleFleetEvent(const CaseDispatcher::Event& ev, double now) {
-  switch (ev.kind) {
-    case CaseDispatcher::EventKind::kResult: {
-      Job* job = queue_.find(ev.name);
-      if (job == nullptr || job->state != QueueState::kRunning)
-        return;  // cancelled while the result was in flight
-      Result<Netlist> nl = Netlist::restoreRawString(ev.result.netlist);
-      if (!nl.isOk()) {
-        requeueRemote(*job, "garbage-ipc",
-                      "result netlist failed validation: " +
-                          std::string(nl.status().message()),
-                      now);
-        return;
-      }
-      if (Status s = writeFileAtomic(queue_.reportPath(*job),
-                                     ev.result.report);
-          !s.isOk())
-        warn("cannot write report for " + job->id + ": " +
-             std::string(s.message()));
-      if (job->format == "blif")
-        saveBlif(queue_.outPath(*job), nl.value());
-      else if (job->format == "v")
-        saveVerilog(queue_.outPath(*job), nl.value());
-      else
-        saveNetlist(queue_.outPath(*job), nl.value());
-      queue_.markDone(*job, ev.result.exitCode);
-      queue_.note("job " + job->id + " completed on " + ev.worker +
-                  "; agent case cache: hits " +
-                  std::to_string(ev.result.cacheHits) + ", misses " +
-                  std::to_string(ev.result.cacheMisses) + ", evictions " +
-                  std::to_string(ev.result.cacheEvictions));
-      log("job " + job->id + " done on " + ev.worker + " (exit " +
-          std::to_string(ev.result.exitCode) + ")");
-      return;
-    }
-    case CaseDispatcher::EventKind::kFailure: {
-      Job* job = queue_.find(ev.name);
-      if (job == nullptr || job->state != QueueState::kRunning) return;
-      requeueRemote(*job, ev.cause, ev.detail, now);
-      return;
-    }
-    case CaseDispatcher::EventKind::kStaleDiscard:
-      queue_.note("stale-epoch duplicate from " + ev.worker +
-                  " discarded (job " + ev.name + "): " + ev.detail);
-      return;
-    case CaseDispatcher::EventKind::kPeerDead:
-      queue_.note("worker " + ev.worker + " marked dead (" + ev.cause +
-                  "): " + ev.detail);
-      return;
-  }
-}
-
-void Daemon::reapExits() {
-  for (const WorkerExit& e : watchdog_.reap()) {
-    Job* job = queue_.find(e.job);
-    if (job == nullptr || job->state != QueueState::kRunning)
-      continue;  // cancelled while the exit was in flight
-    if (!e.retryable) {
-      queue_.markDone(*job, e.exitCode);
-      log("job " + job->id + " done (exit " + std::to_string(e.exitCode) +
-          ", attempt " + std::to_string(e.attempt) + ")");
-      continue;
-    }
-    const std::string how =
-        e.signaled ? "signal " + std::to_string(e.signal)
-                   : "exit " + std::to_string(e.exitCode);
-    if (e.attempt >= opt_.maxAttempts) {
-      queue_.markFailed(*job, e.cause,
-                        "quarantined after " + std::to_string(e.attempt) +
-                            " attempt(s); last death: " + how);
-      log("job " + job->id + " quarantined (" + e.cause + ", " + how + ")");
-      continue;
-    }
-    queue_.markRequeued(*job, e.cause, "worker died (" + how + ")");
-    notBefore_[job->id] =
-        clock_.seconds() + watchdog_.backoffSeconds(e.attempt + 1);
-    log("job " + job->id + " worker died (" + e.cause + ", " + how +
-        "); retrying with resume");
-  }
 }
 
 }  // namespace

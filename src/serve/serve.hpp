@@ -3,22 +3,22 @@
 // (`syseco_cli --serve PORT`) and the thin client the CLI's --connect mode
 // drives.
 //
-// The daemon is a single-threaded poll-based event loop multiplexing three
-// concerns per tick:
+// The daemon is a single-threaded poll-based event loop: client sessions
+// plus the one job Scheduler (serve/scheduler) that --batch also drives.
 //
 //   sessions  - accept clients, decode kTypeServe* frames (serve/codec),
 //               answer submits/status-polls/cancels. fd exhaustion on
 //               accept is a journaled warning plus backoff, never death.
-//   queue     - the WAL-backed durable JobQueue (serve/job_queue): every
+//   scheduler - the WAL-backed durable JobQueue (serve/job_queue): every
 //               admission verdict and state transition is fsync'd before
 //               it is acted on, so SIGKILL at any instant loses nothing.
-//   pool      - the PoolWatchdog (serve/watchdog): each job runs as an
-//               exec'd child of the daemon's own binary with the job's own
-//               engine journal; crashes are classified, retried with
-//               backoff under --resume, and quarantined past the attempt
-//               ceiling. Because retries resume the job's journal, a
-//               healed job's verdict records are bit-identical to an
-//               undisturbed run.
+//               Jobs run on --workers agents or on the PoolWatchdog
+//               (serve/watchdog), which execs the daemon's own binary per
+//               job with the job's own engine journal; failures are
+//               classified, retried with backoff under --resume, and
+//               quarantined past the attempt ceiling. Because retries
+//               resume the job's journal, a healed job's verdict records
+//               are bit-identical to an undisturbed run.
 //
 // Disconnect semantics: a job is bound to the connection that submitted it
 // unless submitted with detach. When the connection dies, bound queued
@@ -26,39 +26,20 @@
 // detached jobs keep running and are polled by job id from any later
 // connection.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "serve/codec.hpp"
-#include "serve/job_queue.hpp"
+#include "serve/scheduler.hpp"
 #include "util/status.hpp"
 
 namespace syseco::serve {
 
-struct ServeOptions {
+/// The daemon's knobs: the scheduler's, plus the session side.
+struct ServeOptions : SchedulerOptions {
   std::uint16_t port = 0;  ///< 0: kernel-assigned (see boundHook)
-  std::string stateDir;    ///< queue WAL + per-job artifact directories
-  std::string selfExe;     ///< binary exec'd per job (the CLI passes its own)
-  std::size_t poolSize = 1;
   AdmissionLimits limits;
-  int maxAttempts = 3;           ///< dispatches per job before quarantine
-  double backoffBaseMs = 100.0;  ///< retry pacing (doubled, capped at 5 s)
-  /// Remote whole-case dispatch (--workers): plain queued jobs are shipped
-  /// to --serve-worker agents as whole cases; --isolate and fault-inject
-  /// jobs stay on the local pool. When the usable fleet shrinks below
-  /// minWorkers the daemon degrades - permanently for its lifetime - to
-  /// the local watchdog pool alone.
-  std::vector<std::string> workers;
-  double fleetLeaseSeconds = 10.0;
-  int fleetConnectTimeoutMs = 2000;
-  int fleetMinWorkers = 1;
-  bool verbose = false;
-  /// Polled every tick; a set flag drains to a clean shutdown (running
-  /// jobs are terminated and recovered as queued-with-resume next start).
-  std::atomic<bool>* stop = nullptr;
   /// Called once with the actually-bound listening port.
   std::function<void(std::uint16_t)> boundHook;
 };

@@ -56,9 +56,8 @@ void classify(WorkerExit& e) {
 
 }  // namespace
 
-PoolWatchdog::PoolWatchdog(const Options& options) : options_(options) {
-  slots_.resize(std::max<std::size_t>(options.poolSize, 1));
-}
+PoolWatchdog::PoolWatchdog(const Options& options)
+    : slots_(std::max<std::size_t>(options.poolSize, 1)) {}
 
 std::size_t PoolWatchdog::busy() const {
   std::size_t n = 0;
@@ -70,13 +69,6 @@ bool PoolWatchdog::isRunning(const std::string& job) const {
   for (const WorkerSlot& s : slots_)
     if (s.pid > 0 && s.job == job) return true;
   return false;
-}
-
-double PoolWatchdog::backoffSeconds(std::int64_t attempt) const {
-  if (attempt <= 1) return 0.0;
-  double ms = options_.backoffBaseMs;
-  for (std::int64_t i = 2; i < attempt; ++i) ms *= 2.0;
-  return std::min(ms, 5000.0) / 1000.0;
 }
 
 Status PoolWatchdog::spawn(const std::string& job, std::int64_t attempt,

@@ -1,17 +1,16 @@
 #pragma once
-// Self-healing worker-pool supervisor for the --serve daemon.
+// Local worker pool for the job scheduler (serve/scheduler).
 //
-// The daemon runs each admitted job as an exec'd child of its own binary
+// The scheduler runs each local job as an exec'd child of its own binary
 // (one engine run per job, with the job's own --journal), so a job crash -
-// real or injected - can never take the daemon down. This module owns the
-// pool: spawning children with the containment settings a resident service
-// needs (own process group, PR_SET_PDEATHSIG so a SIGKILL'd daemon takes
-// its in-flight workers down with it - which is exactly what makes the
-// kill -9 recovery tests honest), reaping exits without blocking, mapping
-// abnormal exits onto the fleet's WorkerExitCause taxonomy, and pacing
-// retries with the same capped exponential backoff the isolation
-// supervisor uses. Jobs that keep dying past the attempt ceiling are
-// quarantined (marked failed) instead of looping forever.
+// real or injected - can never take the daemon or batch driver down. This
+// module owns the pool: spawning children with the containment settings a
+// resident service needs (own process group, PR_SET_PDEATHSIG so a
+// SIGKILL'd parent takes its in-flight workers down with it - which is
+// exactly what makes the kill -9 recovery tests honest), reaping exits
+// without blocking, and mapping abnormal exits onto the fleet's
+// WorkerExitCause taxonomy. Retry pacing and quarantine belong to the
+// scheduler.
 //
 // The spawn interface is deliberately argv-generic so unit tests can
 // supervise /bin/sh stand-ins without a daemon around the pool.
@@ -34,14 +33,14 @@ struct WorkerSlot {
 };
 
 /// One reaped child exit, raw (kind/exitCode/signal) plus the taxonomy
-/// classification the daemon journals.
+/// classification the scheduler journals.
 struct WorkerExit {
   std::string job;
   std::int64_t attempt = 0;
   bool signaled = false;
   int exitCode = 0;  ///< valid when !signaled
   int signal = 0;    ///< valid when signaled
-  /// workerExitCauseName-style token: "ok" for engine exits the daemon
+  /// workerExitCauseName-style token: "ok" for engine exits the scheduler
   /// treats as the job's verdict (clean/verify-failed/degraded/invalid),
   /// "crash"/"oom"/"cpu-timeout" for deaths worth retrying.
   std::string cause;
@@ -52,8 +51,6 @@ class PoolWatchdog {
  public:
   struct Options {
     std::size_t poolSize = 1;
-    int maxAttempts = 3;          ///< dispatches per job before quarantine
-    double backoffBaseMs = 100;   ///< doubled per failed attempt, capped
   };
 
   explicit PoolWatchdog(const Options& options);
@@ -61,14 +58,9 @@ class PoolWatchdog {
   std::size_t poolSize() const { return slots_.size(); }
   std::size_t busy() const;
   bool hasIdleSlot() const { return busy() < slots_.size(); }
-  int maxAttempts() const { return options_.maxAttempts; }
 
   /// True when `job` is currently running in some slot.
   bool isRunning(const std::string& job) const;
-
-  /// Deterministic capped exponential retry delay before dispatching
-  /// attempt `attempt` (1-based; attempt 1 has no delay).
-  double backoffSeconds(std::int64_t attempt) const;
 
   /// Forks and execs `argv` (argv[0] is the binary path) in an idle slot.
   /// The child joins its own process group, arms PR_SET_PDEATHSIG(SIGKILL),
@@ -88,11 +80,10 @@ class PoolWatchdog {
   /// No-op when the job is not running.
   void terminate(const std::string& job, double graceSeconds);
 
-  /// Terminates every running child (daemon shutdown).
+  /// Terminates every running child (scheduler shutdown).
   void terminateAll(double graceSeconds);
 
  private:
-  Options options_;
   std::vector<WorkerSlot> slots_;
 };
 

@@ -81,22 +81,26 @@
 //   --serve-max-bytes-mb N daemon: resident payload watermark (default 256)
 //   --serve-attempts N  daemon: worker deaths per job before quarantine
 //                       (default 3)
-//                       With --workers, the daemon also dispatches whole
-//                       queued jobs to --serve-worker agents (case upload +
-//                       lease + epoch protocol); when the usable fleet
-//                       shrinks below --fleet-min-workers it degrades to
-//                       the local pool.
-//   --batch MANIFEST    sweep mode: run every case of a JSON manifest
+//                       With --workers, plain queued jobs go to an idle
+//                       --serve-worker agent first (case upload + lease +
+//                       epoch protocol) and to the local pool otherwise;
+//                       when the usable fleet shrinks below
+//                       --fleet-min-workers it degrades to the local pool.
+//   --batch MANIFEST    sweep mode: submit every case of a JSON manifest
 //                       ({"cases":[{"name","impl","spec"[,"seed"][,"jobs"]}
-//                       ...]}) through a WAL-backed case ledger. Cases are
-//                       dispatched whole to --workers agents (or the local
-//                       pool), retried with deterministic backoff, and
-//                       quarantined past --serve-attempts. kill -9 of the
-//                       driver resumes with --resume DIR, draining to
-//                       verdicts bit-identical to serial local runs.
-//   --batch-state DIR   batch: fresh sweep state directory (ledger WAL +
-//                       per-case artifacts); refuses a dir that already
-//                       holds a sweep (use --resume DIR for that)
+//                       ...]}) to an embedded --serve job queue, one job
+//                       per case named by the case. The daemon's scheduler
+//                       runs each on an idle --workers agent or else the
+//                       local --serve-pool, retries with deterministic
+//                       backoff, and quarantines past --serve-attempts; a
+//                       case whose inputs do not parse fails as
+//                       invalid-input. kill -9 of the driver resumes with
+//                       --resume DIR, draining to verdicts bit-identical to
+//                       serial local runs.
+//   --batch-state DIR   batch: fresh sweep state directory (queue WAL +
+//                       jobs/<case>/ artifacts + batch_report.json);
+//                       refuses a dir that already holds a sweep (use
+//                       --resume DIR for that)
 //   --connect HOST:PORT client mode: submit --impl/--spec as a job to a
 //                       --serve daemon, wait for it, and write --out /
 //                       --report from the delivered artifacts. Structured
@@ -630,6 +634,19 @@ int main(int argc, char** argv) {
     }
     return kExitClean;  // a signal-initiated stop is the normal shutdown
   }
+  // The scheduler knobs --serve and --batch share.
+  const auto fillScheduler = [&](serve::SchedulerOptions& so) {
+    so.selfExe = selfExePath(argv[0]);
+    so.poolSize = servePool;
+    so.maxAttempts = serveAttempts;
+    so.backoffBaseMs = opt.isolateBackoffMs;
+    so.workers = opt.workers;
+    so.fleetLeaseSeconds = opt.fleetLeaseSeconds;
+    so.fleetConnectTimeoutMs = opt.fleetConnectTimeoutMs;
+    so.fleetMinWorkers = opt.fleetMinWorkers;
+    so.verbose = opt.verbose;
+    so.stop = &gAgentStop;
+  };
   if (daemonPort >= 0) {
     // Resident-daemon mode: accept whole rectification jobs over TCP,
     // queue them durably, dispatch to a supervised pool of exec'd engine
@@ -641,19 +658,10 @@ int main(int argc, char** argv) {
     installSignalHandlers();
     removeStalePortFile(portFilePath);
     serve::ServeOptions so;
+    fillScheduler(so);
     so.port = static_cast<std::uint16_t>(daemonPort);
     so.stateDir = serveStateDir;
-    so.selfExe = selfExePath(argv[0]);
-    so.poolSize = servePool;
     so.limits = serveLimits;
-    so.maxAttempts = serveAttempts;
-    so.backoffBaseMs = opt.isolateBackoffMs;
-    so.workers = opt.workers;
-    so.fleetLeaseSeconds = opt.fleetLeaseSeconds;
-    so.fleetConnectTimeoutMs = opt.fleetConnectTimeoutMs;
-    so.fleetMinWorkers = opt.fleetMinWorkers;
-    so.verbose = opt.verbose;
-    so.stop = &gAgentStop;
     if (!portFilePath.empty()) so.boundHook = portFileHook(portFilePath);
     const Status served = serve::runServeDaemon(so);
     cleanupPortFile(portFilePath);
@@ -665,10 +673,10 @@ int main(int argc, char** argv) {
     return kExitClean;
   }
   if (!batchManifest.empty()) {
-    // Batch-sweep mode: drive a manifest of whole cases through the
-    // WAL-backed batch ledger - remote over --workers agents while the
-    // fleet is healthy, a local watchdog pool otherwise. SIGKILL-safe:
-    // re-run with --resume to drain the same sweep to identical verdicts.
+    // Batch-sweep mode: submit a manifest of whole cases to an embedded
+    // job queue and drain it with the daemon's scheduler - idle --workers
+    // agents first, the local pool otherwise. SIGKILL-safe: re-run with
+    // --resume to drain the same sweep to identical verdicts.
     if (!batchStateDir.empty() && !resumeDir.empty()) {
       std::fprintf(stderr,
                    "error: --batch takes --batch-state DIR (fresh sweep) or "
@@ -677,6 +685,7 @@ int main(int argc, char** argv) {
     }
     installSignalHandlers();
     serve::BatchOptions bo;
+    fillScheduler(bo);
     bo.manifestPath = batchManifest;
     bo.expectResume = !resumeDir.empty();
     bo.stateDir = bo.expectResume ? resumeDir : batchStateDir;
@@ -686,18 +695,8 @@ int main(int argc, char** argv) {
                    "--resume DIR (continue)\n");
       return kExitUsage;
     }
-    bo.selfExe = selfExePath(argv[0]);
-    bo.workers = opt.workers;
-    bo.leaseSeconds = opt.fleetLeaseSeconds;
-    bo.connectTimeoutMs = opt.fleetConnectTimeoutMs;
-    bo.minWorkers = opt.fleetMinWorkers;
-    bo.poolSize = servePool;
-    bo.maxAttempts = serveAttempts;
-    bo.backoffBaseMs = opt.isolateBackoffMs;
     bo.defaultSeed = opt.seed;
     bo.defaultJobs = static_cast<std::int64_t>(opt.jobs);
-    bo.verbose = opt.verbose;
-    bo.stop = &gAgentStop;
     Result<serve::BatchOutcome> ran = serve::runBatch(bo);
     if (!ran.isOk()) {
       std::fprintf(stderr, "error: %s\n", ran.status().toString().c_str());

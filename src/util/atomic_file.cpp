@@ -7,6 +7,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "util/fault.hpp"
 
@@ -19,6 +21,14 @@ Status errnoStatus(const std::string& what, const std::string& path) {
 }
 
 }  // namespace
+
+std::string readFileOrEmpty(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) return {};
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
 
 std::string parentDirectory(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');

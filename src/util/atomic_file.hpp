@@ -28,6 +28,11 @@ Status writeFileAtomic(const std::string& path, std::string_view content,
 /// Best-effort on filesystems that reject directory fsync.
 Status syncDirectory(const std::string& dir);
 
+/// The whole content of `path`; empty when it cannot be opened. For
+/// readers of files whose absence is not an error by itself (artifacts,
+/// payload copies).
+std::string readFileOrEmpty(const std::string& path);
+
 /// Directory part of `path` ("." when the path has no separator).
 std::string parentDirectory(const std::string& path);
 

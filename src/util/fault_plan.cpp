@@ -131,20 +131,13 @@ const std::vector<FaultSite>& storageFaultSites() {
       // Generic atomic-file staging (reports, netlists, port files).
       {"atomic.write", false},
       {"atomic.fsync", true},
-      // Daemon job-queue WAL (serve/job_queue).
+      // Job-queue WAL behind --serve and --batch (serve/job_queue).
       {"queue.wal.write", false},
       {"queue.wal.fsync", true},
       {"queue.wal.marker.write", false},
       {"queue.wal.marker.fsync", true},
       {"queue.wal.compact.write", false},
       {"queue.wal.compact.fsync", true},
-      // Batch case ledger (serve/batch_ledger).
-      {"ledger.wal.write", false},
-      {"ledger.wal.fsync", true},
-      {"ledger.wal.marker.write", false},
-      {"ledger.wal.marker.fsync", true},
-      {"ledger.wal.compact.write", false},
-      {"ledger.wal.compact.fsync", true},
       // Failure repro bundles (verify/repro).
       {"repro.write", false},
       {"repro.fsync", true},

@@ -68,8 +68,8 @@ struct FaultSite {
 };
 
 /// Registry of every storage-shim site in the tree: the engine journal,
-/// the atomic-file staging path, the daemon job-queue WAL, the batch case
-/// ledger, and repro bundles. The README table is generated from the same
+/// the atomic-file staging path, the job-queue WAL behind --serve and
+/// --batch, and repro bundles. The README table is generated from the same
 /// list; keep them in step.
 const std::vector<FaultSite>& storageFaultSites();
 

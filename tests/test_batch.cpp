@@ -1,10 +1,11 @@
 // Whole-case batch fan-out: the case-dispatch wire codecs (task envelopes
 // and whole-case result envelopes with their embedded report/verdicts/
-// netlist texts), the batch manifest parser, the WAL-backed batch ledger's
-// fold-on-open crash recovery, the deterministic case-redispatch backoff
-// (pinned to the per-output transports' retryBackoffSeconds contract), and
-// runBatch end to end over real in-thread agents - remote and degraded-
-// local sweeps of the same manifest must drain to bit-identical artifacts.
+// netlist texts), the batch manifest parser, batch registrations in the
+// job queue (named jobs, fold-on-open crash recovery in manifest order),
+// the deterministic case-redispatch backoff (pinned to the per-output
+// transports' retryBackoffSeconds contract), and runBatch end to end over
+// real in-thread agents - remote and local sweeps of the same manifest
+// must drain to bit-identical artifacts.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +20,9 @@
 #include "eco/fleet.hpp"
 #include "eco/isolate.hpp"
 #include "eco/syseco.hpp"
-#include "io/journal_io.hpp"
+#include "loopback_agent.hpp"
 #include "serve/batch.hpp"
-#include "serve/batch_ledger.hpp"
+#include "serve/job_queue.hpp"
 #include "util/subprocess.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
@@ -31,10 +32,11 @@
 namespace syseco {
 namespace {
 
-using serve::BatchCase;
-using serve::BatchLedger;
-using serve::CaseState;
+using serve::CacheCounters;
+using serve::Job;
+using serve::JobQueue;
 using serve::ManifestCase;
+using serve::QueueState;
 
 // --- Case names (they name artifact directories on the supervisor) --------
 
@@ -168,50 +170,11 @@ TEST(BatchCodec, CaseResultFailsClosedOnHostileInput) {
   EXPECT_FALSE(decodeFleetCaseResult(evil).isOk());
 }
 
-// --- Batch-event WAL records ----------------------------------------------
-
-TEST(BatchCodec, LedgerEventRoundtrips) {
-  JournalBatchEvent e;
-  e.event = "dispatched";
-  e.name = "alu-seed2";
-  e.impl = "/tmp/i.blif";
-  e.spec = "/tmp/s.blif";
-  e.seed = 0xfffffffffffffffeULL;  // past double precision: string-encoded
-  e.jobs = 4;
-  e.worker = "127.0.0.1:9000";
-  e.epoch = 7;
-  e.attempt = 2;
-  e.exitCode = 4;
-  e.cause = "lease-expired";
-  e.detail = "no heartbeat";
-  e.cacheHits = 10;
-  e.cacheMisses = 20;
-  e.cacheEvictions = 30;
-  Result<JournalBatchEvent> back = parseBatchEvent(serializeBatchEvent(e));
-  ASSERT_TRUE(back.isOk()) << back.status().toString();
-  EXPECT_EQ(back.value().event, "dispatched");
-  EXPECT_EQ(back.value().name, "alu-seed2");
-  EXPECT_EQ(back.value().seed, 0xfffffffffffffffeULL);
-  EXPECT_EQ(back.value().jobs, 4);
-  EXPECT_EQ(back.value().worker, "127.0.0.1:9000");
-  EXPECT_EQ(back.value().epoch, 7u);
-  EXPECT_EQ(back.value().attempt, 2);
-  EXPECT_EQ(back.value().cause, "lease-expired");
-  EXPECT_EQ(back.value().cacheEvictions, 30u);
-}
-
-TEST(BatchCodec, LedgerEventFailsClosedOnHostileInput) {
-  EXPECT_FALSE(parseBatchEvent("").isOk());
-  EXPECT_FALSE(parseBatchEvent("junk").isOk());
-  EXPECT_FALSE(parseBatchEvent("{\"type\":\"serve\"}").isOk());
-  EXPECT_FALSE(parseBatchEvent("{\"type\":\"batch\"}").isOk());
-}
-
 // --- Deterministic case-redispatch pacing (the shared jitter contract) ----
 
 TEST(BatchBackoff, IsExactlyTheWorkerRetryContract) {
-  // The case scheduler reuses retryBackoffSeconds keyed by manifest ordinal
-  // - no new RNG path. Pin bitwise equality so a divergence (a new jitter
+  // The case scheduler reuses retryBackoffSeconds keyed by a case ordinal
+  // (crc32 of the job id) - no new RNG path. Pin bitwise equality so a divergence (a new jitter
   // source, a different cap) fails loudly.
   for (double baseMs : {1.0, 100.0, 250.0}) {
     for (std::uint64_t seed : {1ull, 7ull, 0x12345678ull}) {
@@ -233,7 +196,7 @@ TEST(BatchBackoff, IsExactlyTheWorkerRetryContract) {
 
 TEST(BatchBackoff, SameInputsSameScheduleAcrossDriverLives) {
   // A SIGKILLed-and-restarted driver recomputes the schedule from the
-  // ledger's (seed, ordinal, attempt) alone; two calls must agree exactly.
+  // queue's (seed, ordinal, attempt) alone; two calls must agree exactly.
   const double a = serve::caseRedispatchBackoffSeconds(100.0, 42, 5, 3);
   const double b = serve::caseRedispatchBackoffSeconds(100.0, 42, 5, 3);
   EXPECT_EQ(a, b);
@@ -292,7 +255,7 @@ TEST(BatchManifest, FailsClosedOnHostileInput) {
     EXPECT_FALSE(serve::parseBatchManifest(text).isOk()) << text;
 }
 
-// --- The WAL-backed batch ledger ------------------------------------------
+// --- Batch registrations in the job queue ---------------------------------
 
 std::string freshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "syseco_batch_" + name;
@@ -301,34 +264,48 @@ std::string freshDir(const std::string& name) {
   return dir;
 }
 
+serve::SubmitRequest caseRequest(const std::string& impl, std::uint64_t seed,
+                                 std::int64_t jobs) {
+  serve::SubmitRequest r;
+  r.implText = impl;
+  r.specText = "spec";
+  r.seed = seed;
+  r.jobs = jobs;
+  return r;
+}
+
 TEST(BatchLedgerWal, TransitionsAreDurableAndFoldBack) {
   const std::string dir = freshDir("fold");
   {
-    Result<BatchLedger> ledger = BatchLedger::open(dir);
-    ASSERT_TRUE(ledger.isOk()) << ledger.status().toString();
-    EXPECT_FALSE(ledger.value().hadCases());
-    Result<BatchCase*> a =
-        ledger.value().registerCase("a", "i.blif", "s.blif", 1, 1);
-    Result<BatchCase*> b =
-        ledger.value().registerCase("b", "i.blif", "s.blif", 2, 2);
-    ASSERT_TRUE(a.isOk() && b.isOk());
-    ASSERT_TRUE(ledger.value().markDispatched(*a.value(), 1, "w:1", 5).isOk());
-    ASSERT_TRUE(ledger.value().markDone(*a.value(), 0, 3, 4, 5).isOk());
-    // b stays queued. Drop the ledger without any shutdown ceremony.
+    Result<JobQueue> queue = JobQueue::open(dir);
+    ASSERT_TRUE(queue.isOk()) << queue.status().toString();
+    EXPECT_TRUE(queue.value().all().empty());
+    // Registered out of id order on purpose: recovery must keep manifest
+    // (submission) order, not sort the names.
+    Result<Job*> z = queue.value().submit(caseRequest("i", 1, 1), "z");
+    Result<Job*> b = queue.value().submit(caseRequest("i", 2, 2), "b");
+    ASSERT_TRUE(z.isOk() && b.isOk());
+    EXPECT_EQ(z.value()->id, "z");
+    ASSERT_TRUE(queue.value().markRunning(*z.value(), 1, "w:1").isOk());
+    ASSERT_TRUE(
+        queue.value().markDone(*z.value(), 0, CacheCounters{3, 4, 5}).isOk());
+    // b stays queued. Drop the queue without any shutdown ceremony.
   }
-  Result<BatchLedger> back = BatchLedger::open(dir);
+  Result<JobQueue> back = JobQueue::open(dir);
   ASSERT_TRUE(back.isOk()) << back.status().toString();
-  EXPECT_TRUE(back.value().hadCases());
-  BatchCase* a = back.value().find("a");
-  BatchCase* b = back.value().find("b");
-  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(back.value().all().size(), 2u);
+  EXPECT_EQ(back.value().all()[0]->id, "z");
+  EXPECT_EQ(back.value().all()[1]->id, "b");
+  Job* z = back.value().find("z");
+  Job* b = back.value().find("b");
+  ASSERT_NE(z, nullptr);
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->state, CaseState::kDone);
-  EXPECT_EQ(a->exitCode, 0);
-  EXPECT_EQ(a->worker, "w:1");
-  EXPECT_EQ(a->cacheHits, 3u);
-  EXPECT_EQ(a->cacheEvictions, 5u);
-  EXPECT_EQ(b->state, CaseState::kQueued);
+  EXPECT_EQ(z->state, QueueState::kDone);
+  EXPECT_EQ(z->exitCode, 0);
+  EXPECT_EQ(z->worker, "w:1");
+  EXPECT_EQ(z->cache.hits, 3u);
+  EXPECT_EQ(z->cache.evictions, 5u);
+  EXPECT_EQ(b->state, QueueState::kQueued);
   EXPECT_EQ(b->seed, 2u);
   EXPECT_EQ(b->jobs, 2);
 }
@@ -336,59 +313,62 @@ TEST(BatchLedgerWal, TransitionsAreDurableAndFoldBack) {
 TEST(BatchLedgerWal, MidDispatchKillRecoversAsQueuedWithResume) {
   const std::string dir = freshDir("recover");
   {
-    Result<BatchLedger> ledger = BatchLedger::open(dir);
-    ASSERT_TRUE(ledger.isOk());
-    Result<BatchCase*> c =
-        ledger.value().registerCase("c", "i.blif", "s.blif", 3, 1);
+    Result<JobQueue> queue = JobQueue::open(dir);
+    ASSERT_TRUE(queue.isOk());
+    Result<Job*> c = queue.value().submit(caseRequest("i", 3, 1), "c");
     ASSERT_TRUE(c.isOk());
     ASSERT_TRUE(
-        ledger.value().markDispatched(*c.value(), 2, "127.0.0.1:1", 9).isOk());
-    // SIGKILL here: the WAL's last word about c is "dispatched".
+        queue.value().markRunning(*c.value(), 2, "127.0.0.1:1").isOk());
+    // SIGKILL here: the WAL's last word about c is "running".
   }
-  Result<BatchLedger> back = BatchLedger::open(dir);
+  Result<JobQueue> back = JobQueue::open(dir);
   ASSERT_TRUE(back.isOk());
-  BatchCase* c = back.value().find("c");
+  Job* c = back.value().find("c");
   ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->state, CaseState::kQueued) << "orphaned case must re-queue";
+  EXPECT_EQ(c->state, QueueState::kQueued) << "orphaned case must re-queue";
   EXPECT_TRUE(c->resume) << "recovery must resume the engine journal";
   EXPECT_EQ(c->attempt, 2) << "attempt accounting survives the kill";
   bool noted = false;
   for (const std::string& n : back.value().recoveryNotes())
-    noted |= n.find("c") != std::string::npos;
+    noted |= n.find("job c ") != std::string::npos;
   EXPECT_TRUE(noted) << "recovery must be observable";
 }
 
 TEST(BatchLedgerWal, ReRegistrationIsIdempotentButGuardsTheManifest) {
   const std::string dir = freshDir("idem");
-  Result<BatchLedger> ledger = BatchLedger::open(dir);
-  ASSERT_TRUE(ledger.isOk());
-  Result<BatchCase*> first =
-      ledger.value().registerCase("a", "i.blif", "s.blif", 1, 1);
+  Result<JobQueue> queue = JobQueue::open(dir);
+  ASSERT_TRUE(queue.isOk());
+  Result<Job*> first = queue.value().submit(caseRequest("i", 1, 1), "a");
   ASSERT_TRUE(first.isOk());
-  Result<BatchCase*> again =
-      ledger.value().registerCase("a", "i.blif", "s.blif", 1, 1);
+  Result<Job*> again = queue.value().submit(caseRequest("i", 1, 1), "a");
   ASSERT_TRUE(again.isOk());
   EXPECT_EQ(first.value(), again.value()) << "same case, same record";
+  EXPECT_EQ(queue.value().all().size(), 1u);
   // The same name with different inputs is a different sweep: refuse it
   // rather than silently mixing manifests on one state directory.
-  EXPECT_FALSE(
-      ledger.value().registerCase("a", "OTHER.blif", "s.blif", 1, 1).isOk());
-  EXPECT_FALSE(
-      ledger.value().registerCase("a", "i.blif", "s.blif", 2, 1).isOk());
+  Result<Job*> otherPayload =
+      queue.value().submit(caseRequest("OTHER", 1, 1), "a");
+  ASSERT_FALSE(otherPayload.isOk());
+  EXPECT_EQ(otherPayload.status().code(), StatusCode::kInvalidInput);
+  EXPECT_FALSE(queue.value().submit(caseRequest("i", 2, 1), "a").isOk());
+  EXPECT_FALSE(queue.value().submit(caseRequest("i", 1, 2), "a").isOk());
+  serve::SubmitRequest otherFormat = caseRequest("i", 1, 1);
+  otherFormat.format = "v";
+  EXPECT_FALSE(queue.value().submit(otherFormat, "a").isOk());
+  EXPECT_EQ(queue.value().all().size(), 1u);
 }
 
 TEST(BatchLedgerWal, GarbageWalRecordsAreQuarantinedNotFatal) {
   const std::string dir = freshDir("garbage");
   {
-    Result<BatchLedger> ledger = BatchLedger::open(dir);
-    ASSERT_TRUE(ledger.isOk());
-    ASSERT_TRUE(
-        ledger.value().registerCase("a", "i.blif", "s.blif", 1, 1).isOk());
+    Result<JobQueue> queue = JobQueue::open(dir);
+    ASSERT_TRUE(queue.isOk());
+    ASSERT_TRUE(queue.value().submit(caseRequest("i", 1, 1), "a").isOk());
   }
   // Append raw garbage past the valid records.
-  std::ofstream(dir + "/ledger/journal.jsonl", std::ios::app)
+  std::ofstream(dir + "/queue/journal.jsonl", std::ios::app)
       << "J1 zzzz not-a-frame\n";
-  Result<BatchLedger> back = BatchLedger::open(dir);
+  Result<JobQueue> back = JobQueue::open(dir);
   ASSERT_TRUE(back.isOk()) << back.status().toString();
   EXPECT_NE(back.value().find("a"), nullptr);
 }
@@ -396,36 +376,6 @@ TEST(BatchLedgerWal, GarbageWalRecordsAreQuarantinedNotFatal) {
 // --- End to end: remote and local sweeps are bit-identical -----------------
 
 #ifdef SYSECO_CLI_BIN
-
-/// A real --serve-worker agent on a loopback ephemeral port, in-thread.
-struct Agent {
-  std::atomic<bool> stop{false};
-  std::atomic<int> port{-1};
-  std::thread th;
-
-  void start() {
-    th = std::thread([this] {
-      FleetAgentOptions o;
-      o.port = 0;
-      o.stop = &stop;
-      o.boundHook = [this](std::uint16_t bound) {
-        port.store(static_cast<int>(bound));
-      };
-      const Status st = runWorkerAgent(o);
-      if (!st.isOk()) ADD_FAILURE() << "agent failed: " << st.toString();
-    });
-    while (port.load() < 0) subprocess::pollReadable({}, 10);
-  }
-
-  std::string spec() const {
-    return "127.0.0.1:" + std::to_string(port.load());
-  }
-
-  ~Agent() {
-    stop.store(true);
-    if (th.joinable()) th.join();
-  }
-};
 
 std::string slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -454,8 +404,8 @@ serve::BatchOptions baseOptions(const std::string& manifest,
   opt.stateDir = stateDir;
   opt.selfExe = SYSECO_CLI_BIN;
   opt.poolSize = 2;
-  opt.leaseSeconds = 10.0;
-  opt.connectTimeoutMs = 500;
+  opt.fleetLeaseSeconds = 10.0;
+  opt.fleetConnectTimeoutMs = 500;
   return opt;
 }
 
@@ -465,7 +415,7 @@ TEST(BatchEndToEnd, RemoteSweepMatchesTheLocalPoolBitForBit) {
   const std::string manifest = writeManifest(dir);
 
   // Remote: two real agents over loopback.
-  Agent a1, a2;
+  LoopbackAgent a1, a2;
   a1.start();
   a2.start();
   serve::BatchOptions remote = baseOptions(manifest, dir + "/remote");
@@ -476,7 +426,7 @@ TEST(BatchEndToEnd, RemoteSweepMatchesTheLocalPoolBitForBit) {
   EXPECT_EQ(r1.value().failed, 0u);
   EXPECT_FALSE(r1.value().degradedToLocal);
 
-  // Local: the fallback pool forks the real CLI per case.
+  // Local: the pool forks the real CLI per case.
   serve::BatchOptions local = baseOptions(manifest, dir + "/local");
   Result<serve::BatchOutcome> r2 = serve::runBatch(local);
   ASSERT_TRUE(r2.isOk()) << r2.status().toString();
@@ -484,8 +434,8 @@ TEST(BatchEndToEnd, RemoteSweepMatchesTheLocalPoolBitForBit) {
   EXPECT_EQ(r2.value().failed, 0u);
 
   for (const char* name : {"alu-s1", "alu-s2"}) {
-    const std::string rc = dir + "/remote/cases/" + name;
-    const std::string lc = dir + "/local/cases/" + name;
+    const std::string rc = dir + "/remote/jobs/" + name;
+    const std::string lc = dir + "/local/jobs/" + name;
     const std::string rOut = slurp(rc + "/out.blif");
     ASSERT_FALSE(rOut.empty()) << name;
     EXPECT_EQ(rOut, slurp(lc + "/out.blif")) << name << " netlist diverged";
@@ -506,13 +456,43 @@ TEST(BatchEndToEnd, DeadFleetDegradesToTheLocalPool) {
   const std::string manifest = writeManifest(dir);
   serve::BatchOptions opt = baseOptions(manifest, dir + "/state");
   opt.workers = {"127.0.0.1:1", "127.0.0.1:2"};  // nothing listens there
-  opt.connectTimeoutMs = 200;
+  opt.fleetConnectTimeoutMs = 200;
   Result<serve::BatchOutcome> out = serve::runBatch(opt);
   ASSERT_TRUE(out.isOk()) << out.status().toString();
   EXPECT_EQ(out.value().done, 2u);
   EXPECT_EQ(out.value().failed, 0u);
   EXPECT_TRUE(out.value().degradedToLocal);
-  EXPECT_FALSE(slurp(dir + "/state/cases/alu-s1/out.blif").empty());
+  EXPECT_FALSE(slurp(dir + "/state/jobs/alu-s1/out.blif").empty());
+}
+
+TEST(BatchEndToEnd, UnparseableCaseFailsAsInvalidInputAndTheSweepContinues) {
+  const std::string dir = freshDir("invalid");
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const std::string impl =
+      std::string(SYSECO_SOURCE_DIR) + "/data/alu_impl.blif";
+  const std::string spec =
+      std::string(SYSECO_SOURCE_DIR) + "/data/alu_spec.blif";
+  std::ofstream(dir + "/junk.blif") << "this is not a blif netlist\n";
+  const std::string manifest = dir + "/manifest.json";
+  std::ofstream(manifest) << "{\"cases\": [\n"
+                          << "  {\"name\": \"junk\", \"impl\": \"" << dir
+                          << "/junk.blif\", \"spec\": \"" << spec << "\"},\n"
+                          << "  {\"name\": \"alu\", \"impl\": \"" << impl
+                          << "\", \"spec\": \"" << spec << "\"}\n"
+                          << "]}\n";
+  Result<serve::BatchOutcome> out =
+      serve::runBatch(baseOptions(manifest, dir + "/state"));
+  ASSERT_TRUE(out.isOk()) << out.status().toString();
+  EXPECT_EQ(out.value().done, 1u);
+  EXPECT_EQ(out.value().failed, 1u);
+  Result<JobQueue> queue = JobQueue::open(dir + "/state");
+  ASSERT_TRUE(queue.isOk());
+  const Job* junk = queue.value().find("junk");
+  ASSERT_NE(junk, nullptr);
+  EXPECT_EQ(junk->state, QueueState::kFailed);
+  EXPECT_EQ(junk->cause, "invalid-input");
+  EXPECT_EQ(junk->attempt, 0) << "never dispatched";
+  EXPECT_FALSE(slurp(dir + "/state/jobs/alu/verdicts.txt").empty());
 }
 
 TEST(BatchEndToEnd, FreshStateDirRefusesAResumedLedger) {

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/batch_ledger.hpp"
 #include "serve/codec.hpp"
 #include "serve/job_queue.hpp"
 #include "util/atomic_file.hpp"
@@ -577,30 +576,6 @@ TEST_F(ChaosTest, QueueCompactionCrashAfterRenameLeavesNewWalRecoverable) {
   ASSERT_TRUE(q.isOk());
   ASSERT_EQ(q.value().all().size(), 1u);
   EXPECT_EQ(q.value().all()[0]->state, serve::QueueState::kQueued);
-}
-
-TEST_F(ChaosTest, LedgerCompactionCrashLeavesOldWalRecoverable) {
-  const std::string dir = testDir("ledgercrash");
-  {
-    Result<serve::BatchLedger> l = serve::BatchLedger::open(dir);
-    ASSERT_TRUE(l.isOk());
-    Result<serve::BatchCase*> c =
-        l.value().registerCase("alpha", "i.blif", "s.blif", 7, 2);
-    ASSERT_TRUE(c.isOk());
-    ASSERT_TRUE(l.value().markDispatched(*c.value(), 1, "local", 1).isOk());
-  }
-  for (const char* site :
-       {"ledger.wal.compact.write", "ledger.wal.compact.fsync",
-        "ledger.wal.marker.write"})
-    expectCrashDuringOpen(site, [&] { (void)serve::BatchLedger::open(dir); });
-
-  Result<serve::BatchLedger> l = serve::BatchLedger::open(dir);
-  ASSERT_TRUE(l.isOk());
-  ASSERT_EQ(l.value().all().size(), 1u);
-  EXPECT_EQ(l.value().all()[0]->name, "alpha");
-  EXPECT_EQ(l.value().all()[0]->state, serve::CaseState::kQueued);
-  EXPECT_TRUE(l.value().all()[0]->resume);
-  EXPECT_EQ(l.value().all()[0]->seed, 7u);
 }
 
 TEST_F(ChaosTest, PoisonedQueueWalRefusesFurtherTransitions) {

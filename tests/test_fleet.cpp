@@ -29,6 +29,7 @@
 #include "eco/syseco.hpp"
 #include "gen/eco_case.hpp"
 #include "io/journal_io.hpp"
+#include "loopback_agent.hpp"
 #include "util/io_retry.hpp"
 #include "util/ipc.hpp"
 #include "util/socket.hpp"
@@ -438,37 +439,6 @@ void expectOneFailedAttempt(const SysecoDiagnostics& diag,
   EXPECT_EQ(hits, 1);
 }
 
-/// A real --serve-worker agent on a loopback ephemeral port, in-thread.
-struct Agent {
-  std::atomic<bool> stop{false};
-  std::atomic<int> port{-1};
-  std::thread th;
-
-  void start() {
-    th = std::thread([this] {
-      FleetAgentOptions o;
-      o.port = 0;
-      o.stop = &stop;
-      o.boundHook = [this](std::uint16_t bound) {
-        port.store(static_cast<int>(bound));
-      };
-      const Status st = runWorkerAgent(o);
-      if (!st.isOk())
-        ADD_FAILURE() << "agent failed: " << st.toString();
-    });
-    while (port.load() < 0) subprocess::pollReadable({}, 10);
-  }
-
-  std::string spec() const {
-    return "127.0.0.1:" + std::to_string(port.load());
-  }
-
-  ~Agent() {
-    stop.store(true);
-    if (th.joinable()) th.join();
-  }
-};
-
 /// A scripted rogue peer: accepts the supervisor once, hands the connection
 /// to the test's script, and dies. The script decides how to sabotage.
 struct RoguePeer {
@@ -522,7 +492,7 @@ struct RoguePeer {
 
 TEST(FleetEngine, CleanFleetRunIsBitIdenticalToTheLocalRun) {
   const EcoCase c = fleetEcoCase(11);
-  Agent a1, a2;
+  LoopbackAgent a1, a2;
   a1.start();
   a2.start();
   const FleetOutcome fleet =
@@ -546,7 +516,7 @@ TEST(FleetEngine, ConnectionResetConsumesOneAttemptAndTheRunRecovers) {
     net::closeSocket(fd);
     self.closeListener();
   });
-  Agent good;
+  LoopbackAgent good;
   good.start();
   const FleetOutcome fleet =
       runFleetCase(c, {rogue.spec(), good.spec()}, 10.0, 1.0);
@@ -569,7 +539,7 @@ TEST(FleetEngine, TruncatedResultFrameClassifiesAsFrameTruncated) {
     net::closeSocket(fd);
     self.closeListener();
   });
-  Agent good;
+  LoopbackAgent good;
   good.start();
   const FleetOutcome fleet =
       runFleetCase(c, {rogue.spec(), good.spec()}, 10.0, 1.0);
@@ -586,7 +556,7 @@ TEST(FleetEngine, SilentWorkerLosesItsLeaseAndTheTaskMovesOn) {
     (void)self.readFrame(fd, rx);
     self.sleepMs(60000);
   });
-  Agent good;
+  LoopbackAgent good;
   good.start();
   const FleetOutcome fleet =
       runFleetCase(c, {rogue.spec(), good.spec()}, /*lease=*/0.4, 1.0);
@@ -614,7 +584,7 @@ TEST(FleetEngine, LateDuplicateResultIsDiscardedByEpoch) {
     net::closeSocket(fd);
     self.closeListener();
   });
-  Agent good;
+  LoopbackAgent good;
   good.start();
   // A long backoff holds the reclaimed task pending, so the run is
   // guaranteed to still be in flight when the duplicate lands.

@@ -22,10 +22,13 @@
 #include <thread>
 #include <vector>
 
+#include "io/journal_io.hpp"
+#include "loopback_agent.hpp"
 #include "serve/codec.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/serve.hpp"
 #include "serve/watchdog.hpp"
+#include "util/fault.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
 
@@ -153,6 +156,36 @@ TEST(ServeCodec, RepliesRoundtripAndRejectGarbage) {
   EXPECT_FALSE(decodeJobState("\xff\xfe").isOk());
 }
 
+TEST(ServeCodec, QueueEventCarriesWorkerAndCacheCountersOptionally) {
+  JournalServeEvent e;
+  e.event = "done";
+  e.job = "alu-s1";
+  e.format = "blif";
+  e.seed = 0xfffffffffffffffeULL;  // past double precision: string-encoded
+  e.worker = "127.0.0.1:9000";
+  e.cacheHits = 10;
+  e.cacheMisses = 20;
+  e.cacheEvictions = 30;
+  const std::string text = serializeServeEvent(e);
+  Result<JournalServeEvent> back = parseServeEvent(text);
+  ASSERT_TRUE(back.isOk()) << back.status().toString();
+  EXPECT_EQ(back.value().seed, 0xfffffffffffffffeULL);
+  EXPECT_EQ(back.value().worker, "127.0.0.1:9000");
+  EXPECT_EQ(back.value().cacheHits, 10u);
+  EXPECT_EQ(back.value().cacheMisses, 20u);
+  EXPECT_EQ(back.value().cacheEvictions, 30u);
+  // A record from a WAL written before the fields existed still folds.
+  const std::string legacy = text.substr(0, text.find(",\"worker\"")) + "}";
+  Result<JournalServeEvent> old = parseServeEvent(legacy);
+  ASSERT_TRUE(old.isOk()) << legacy;
+  EXPECT_EQ(old.value().worker, "");
+  EXPECT_EQ(old.value().cacheHits, 0u);
+  // Present but mistyped is still malformed.
+  std::string bad = text;
+  bad.replace(bad.find("\"cache_hits\":10"), 15, "\"cache_hits\":\"x\"");
+  EXPECT_FALSE(parseServeEvent(bad).isOk()) << bad;
+}
+
 // --- Durable job queue ----------------------------------------------------
 
 SubmitRequest queueRequest(const std::string& tenant,
@@ -181,7 +214,8 @@ TEST(ServeQueue, SubmitPersistsPayloadAndFeedsTheLedgers) {
   EXPECT_EQ(q.tenantResident("alice"), 1u);
   EXPECT_EQ(q.tenantResident("bob"), 0u);
   EXPECT_EQ(q.residentBytes(), 14u);
-  EXPECT_EQ(q.nextQueued(), job.value());
+  ASSERT_EQ(q.all().size(), 1u);
+  EXPECT_EQ(q.all()[0], job.value());
 }
 
 TEST(ServeQueue, MidRunJobsRecoverAsQueuedWithResume) {
@@ -314,19 +348,10 @@ const WorkerExit* exitFor(const std::vector<WorkerExit>& exits,
   return nullptr;
 }
 
-TEST(ServeWatchdog, BackoffDoublesFromTheBaseAndCaps) {
-  PoolWatchdog wd(PoolWatchdog::Options{1, 3, 100.0});
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(1), 0.0);
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(2), 0.1);
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(3), 0.2);
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(4), 0.4);
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(50), 5.0);
-}
-
 TEST(ServeWatchdog, ClassifiesVerdictExitsTerminalAndDeathsRetryable) {
   const std::string dir = freshDir("classify");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  PoolWatchdog wd(PoolWatchdog::Options{4, 3, 100.0});
+  PoolWatchdog wd(PoolWatchdog::Options{4});
   ASSERT_TRUE(wd.spawn("clean", 1, shellArgv("exit 0"), dir + "/a.log", {})
                   .isOk());
   ASSERT_TRUE(wd.spawn("degraded", 1, shellArgv("exit 4"), dir + "/b.log", {})
@@ -371,7 +396,7 @@ TEST(ServeWatchdog, ClassifiesVerdictExitsTerminalAndDeathsRetryable) {
 TEST(ServeWatchdog, ExportsExtraEnvAndCapturesTheWorkerLog) {
   const std::string dir = freshDir("env");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  PoolWatchdog wd(PoolWatchdog::Options{1, 3, 100.0});
+  PoolWatchdog wd(PoolWatchdog::Options{1});
   ASSERT_TRUE(wd.spawn("envjob", 1,
                        shellArgv("echo marker-$SYSECO_SERVE_TEST_ENV"),
                        dir + "/w.log", {"SYSECO_SERVE_TEST_ENV=hello"})
@@ -383,7 +408,7 @@ TEST(ServeWatchdog, ExportsExtraEnvAndCapturesTheWorkerLog) {
 TEST(ServeWatchdog, TerminateKillsAStubbornProcessGroup) {
   const std::string dir = freshDir("term");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  PoolWatchdog wd(PoolWatchdog::Options{1, 3, 100.0});
+  PoolWatchdog wd(PoolWatchdog::Options{1});
   // The stand-in shrugs off SIGTERM, so only the escalation to SIGKILL
   // (after the grace) can end it.
   ASSERT_TRUE(wd.spawn("stubborn", 1,
@@ -607,6 +632,110 @@ TEST(ServeDaemon, ClientDisconnectCancelsBoundJobsButNotDetachedOnes) {
   Result<JobState> cleaned = observer.cancel(detached);
   ASSERT_TRUE(cleaned.isOk());
   EXPECT_EQ(cleaned.value().state, "cancelled");
+}
+
+TEST(ServeDaemon, RefusedAgentsNeverSpendAJobsAttempts) {
+  DaemonHarness daemon;
+  ServeOptions opt;
+  opt.stateDir = freshDir("e2e_dead_workers");
+  opt.workers = {"127.0.0.1:1", "127.0.0.1:2"};  // nothing listens there
+  opt.fleetConnectTimeoutMs = 200;
+  opt.maxAttempts = 2;
+  daemon.start(opt);
+  ServeClient client = daemon.client();
+
+  // Both connects are refused: the strikes land on the agents, and the job
+  // runs on the local pool as its first attempt.
+  Result<SubmitOutcome> sub = client.submit(aluRequest(7));
+  ASSERT_TRUE(sub.isOk()) << sub.status().toString();
+  ASSERT_TRUE(sub.value().accepted);
+  Result<JobState> done = client.wait(sub.value().job, 50);
+  ASSERT_TRUE(done.isOk()) << done.status().toString();
+  EXPECT_EQ(done.value().state, "done") << done.value().detail;
+  EXPECT_EQ(done.value().exitCode, 0);
+  EXPECT_EQ(done.value().attempt, 1);
+}
+
+/// Submits the alu pair with `seed`, waits for it, stops the daemon and
+/// returns the job's folded queue record.
+Job runToDone(ServeOptions opt, std::uint64_t seed) {
+  {
+    DaemonHarness daemon;
+    daemon.start(opt);
+    ServeClient client = daemon.client();
+    Result<SubmitOutcome> sub = client.submit(aluRequest(seed));
+    EXPECT_TRUE(sub.isOk() && sub.value().accepted);
+    if (!sub.isOk() || !sub.value().accepted) return Job{};
+    Result<JobState> done = client.wait(sub.value().job, 50);
+    EXPECT_TRUE(done.isOk()) << done.status().toString();
+    if (done.isOk()) EXPECT_EQ(done.value().state, "done");
+  }
+  Result<JobQueue> q = JobQueue::open(opt.stateDir);
+  EXPECT_TRUE(q.isOk());
+  if (!q.isOk() || q.value().all().empty()) return Job{};
+  return *q.value().all()[0];
+}
+
+TEST(ServeDaemon, AgentRunIsRecordedAndMatchesTheLocalPoolBitForBit) {
+  LoopbackAgent agent;
+  agent.start();
+  ServeOptions remote;
+  remote.stateDir = freshDir("e2e_agent_remote");
+  remote.workers = {agent.spec()};
+  const Job r = runToDone(remote, 7);
+  EXPECT_EQ(r.state, QueueState::kDone);
+  EXPECT_EQ(r.worker, agent.spec());
+  EXPECT_EQ(r.attempt, 1);
+  EXPECT_EQ(r.cache.misses, 1u) << "the first run uploads the case";
+
+  ServeOptions local;
+  local.stateDir = freshDir("e2e_agent_local");
+  const Job l = runToDone(local, 7);
+  EXPECT_EQ(l.state, QueueState::kDone);
+  EXPECT_EQ(l.worker, "");
+
+  for (const char* artifact : {"/out.blif", "/verdicts.txt"}) {
+    const std::string rText =
+        slurp(remote.stateDir + "/jobs/j000001" + artifact);
+    ASSERT_FALSE(rText.empty()) << artifact;
+    EXPECT_EQ(rText, slurp(local.stateDir + "/jobs/j000001" + artifact))
+        << artifact << " diverged between the agent and the local pool";
+  }
+}
+
+TEST(ServeDaemon, FailedArtifactWriteRetriesInsteadOfFinishing) {
+  // Hits 0 and 1 of atomic.write are the submit's payload files; hit 2 is
+  // the first artifact the remote result settles. Armed before, and reset
+  // after, every thread that can hit a fault site.
+  fault::Injector::instance().reset();
+  fault::Injector::instance().schedule("atomic.write", fault::Kind::kEio, 2);
+  const std::string stateDir = freshDir("e2e_artifact_fault");
+  {
+    LoopbackAgent agent;
+    agent.start();
+    DaemonHarness daemon;
+    ServeOptions opt;
+    opt.stateDir = stateDir;
+    opt.workers = {agent.spec()};
+    opt.backoffBaseMs = 20.0;
+    daemon.start(opt);
+    ServeClient client = daemon.client();
+
+    Result<SubmitOutcome> sub = client.submit(aluRequest(7));
+    ASSERT_TRUE(sub.isOk()) << sub.status().toString();
+    ASSERT_TRUE(sub.value().accepted);
+    Result<JobState> done = client.wait(sub.value().job, 50);
+    ASSERT_TRUE(done.isOk()) << done.status().toString();
+    EXPECT_EQ(done.value().state, "done") << done.value().detail;
+    EXPECT_EQ(done.value().attempt, 2) << "the failed write must not finish";
+    EXPECT_NE(done.value().outText.find(".model"), std::string::npos);
+    // The daemon stayed up through the fault and keeps answering.
+    Result<JobState> again = client.status(sub.value().job);
+    ASSERT_TRUE(again.isOk()) << again.status().toString();
+    EXPECT_EQ(again.value().state, "done");
+  }
+  fault::Injector::instance().reset();
+  EXPECT_FALSE(slurp(stateDir + "/jobs/j000001/verdicts.txt").empty());
 }
 
 // --- SIGKILL the daemon: recovery and bit-identical drain -----------------
