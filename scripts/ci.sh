@@ -606,6 +606,54 @@ for SEED in 1 2 3 4; do
 done
 echo "batch fan-out: driver and agent SIGKILLs recovered, 4 cases bit-identical"
 
+# Case-path transport fault: a fresh 2-case sweep over one healthy agent
+# and one whose every case result arrives as half a frame. Each truncated
+# answer costs its case one attempt and strikes the agent; the second
+# strike marks it dead, so --serve-attempts 3 always leaves a healthy
+# attempt, and both cases drain bit-identical to the --jobs 2 references.
+head -n 3 "$BATCH/manifest.json" | sed '$ s/,$//' > "$BATCH/manifest2.json"
+echo ']}' >> "$BATCH/manifest2.json"
+"$CLI" --serve-worker 0 --port-file "$BATCH/p3" > "$BATCH/ba3.log" 2>&1 &
+BAGENT3=$!
+SYSECO_FAULT_INJECT="fleet.agent.case=net-truncate" \
+    "$CLI" --serve-worker 0 --port-file "$BATCH/p4" > "$BATCH/ba4.log" 2>&1 &
+BAGENT4=$!
+for _ in $(seq 1 100); do
+  [ -s "$BATCH/p3" ] && [ -s "$BATCH/p4" ] && break
+  sleep 0.1
+done
+BP3="$(cat "$BATCH/p3")"
+BP4="$(cat "$BATCH/p4")"
+set +e
+"$CLI" --batch "$BATCH/manifest2.json" --batch-state "$BATCH/state2" \
+    --workers "127.0.0.1:$BP4,127.0.0.1:$BP3" --jobs 2 --serve-attempts 3 \
+    --verbose > "$BATCH/drive3.log" 2>&1
+rc=$?
+set -e
+kill "$BAGENT3" "$BAGENT4" 2>/dev/null || true
+wait "$BAGENT3" "$BAGENT4" 2>/dev/null || true
+[ "$rc" -eq 0 ] || {
+  echo "faulted-agent batch failed with $rc"; cat "$BATCH/drive3.log"; exit 1; }
+for SEED in 1 2; do
+  CASE="$BATCH/state2/jobs/alu-s$SEED"
+  cmp "$CASE/out.blif" "$BATCH/bref$SEED.blif" \
+      || { echo "faulted-agent case alu-s$SEED netlist diverged"; exit 1; }
+  cmp "$CASE/verdicts.txt" "$BATCH/bref$SEED.verdicts" \
+      || { echo "faulted-agent case alu-s$SEED verdicts diverged"; exit 1; }
+done
+python3 - "$BATCH/state2/batch_report.json" <<'PYEOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert len(doc["cases"]) == 2, doc
+for case in doc["cases"]:
+    assert case["state"] == "done", case
+PYEOF
+grep -aq 'frame-truncated' "$BATCH/state2/queue/journal.jsonl" \
+    || { echo "truncated case result never journaled as frame-truncated"; exit 1; }
+grep -aq "worker 127.0.0.1:$BP4 marked dead" "$BATCH/state2/queue/journal.jsonl" \
+    || { echo "faulty agent was never marked dead"; exit 1; }
+echo "batch fan-out: truncating agent struck dead, 2 cases bit-identical"
+
 end_stage
 begin_stage chaos-soak
 echo "=== Chaos soak: seeded storage-fault schedules (ASan) ==="

@@ -22,6 +22,7 @@
 
 #include "bdd/bdd.hpp"
 #include "cnf/encode.hpp"
+#include "eco/fleet.hpp"
 #include "eco/isolate.hpp"
 #include "eco/matching.hpp"
 #include "eco/sampling.hpp"
@@ -30,9 +31,7 @@
 #include "util/budget.hpp"
 #include "util/build_info.hpp"
 #include "util/check.hpp"
-#include "util/crc32.hpp"
 #include "util/fault.hpp"
-#include "util/io_retry.hpp"
 #include "util/ipc.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
@@ -733,179 +732,114 @@ class Engine {
     Timer clock_;
   };
 
-  /// The TCP fleet (--workers): tasks are sharded over persistent
-  /// connections to --serve-worker agents. The case payload is uploaded
-  /// once per agent, content-addressed by crc32. Each assignment carries a
-  /// fresh epoch and a lease; heartbeats renew the lease, and a task whose
-  /// agent disconnects, babbles or overruns its lease is reported failed.
-  /// Duplicate results from reclaimed assignments are discarded by epoch.
-  /// A peer with two consecutive transport failures is dead; the executor
-  /// is lost once fewer than fleetMinWorkers peers remain usable.
+  /// The TCP fleet (--workers): a thin adapter from plan slots to
+  /// AgentPool assignments (eco/fleet.hpp). The pool owns the agent
+  /// protocol - lazy connects, epochs, the one-time crc32-addressed case
+  /// upload, leases, stale-epoch discards and peer health; the executor
+  /// decodes results into WorkerPatches and journals the pool's events.
+  /// It is lost once fewer than fleetMinWorkers peers remain usable.
   class FleetExecutor final : public TaskExecutor {
    public:
     FleetExecutor(const Engine& eng, const TaskContext& ctx, std::size_t slots,
                   Report report)
         : eng_(eng),
-          opt_(eng.opt_),
           base_(ctx.base),
           report_(std::move(report)),
-          casePayload_(encodeFleetCase(ctx.base, eng.spec_, ctx.workerOpt,
-                                       ctx.protect)),
-          caseCrc_(crc32(casePayload_)),
-          tasks_(slots) {
-      for (const std::string& spec : opt_.workers) {
-        Result<std::pair<std::string, std::uint16_t>> hp =
-            net::parseHostPort(spec);
-        if (!hp.isOk()) continue;  // validateSysecoOptions rejects these
-        Peer p;
-        p.spec = spec;
-        p.host = hp.value().first;
-        p.port = hp.value().second;
-        peers_.push_back(std::move(p));
-      }
-    }
-    ~FleetExecutor() override { cancelAll(); }
+          case_(std::make_shared<const AgentPool::Case>(encodeFleetCase(
+              ctx.base, eng.spec_, ctx.workerOpt, ctx.protect))),
+          outputs_(slots),
+          pool_(AgentPool::Options{eng.opt_.workers, eng.opt_.fleetLeaseSeconds,
+                                   eng.opt_.fleetConnectTimeoutMs,
+                                   eng.opt_.fleetMinWorkers}) {}
 
     std::size_t window() const override {
-      return std::max<std::size_t>(2 * peers_.size(), 4);
+      return std::max<std::size_t>(2 * pool_.size(), 4);
     }
 
-    bool hasCapacity() const override { return idlePeer() >= 0; }
+    bool hasCapacity() const override { return pool_.hasIdlePeer(); }
 
+    /// A refused connect or send costs the task no attempt: the pool
+    /// strikes the peer and the slot stays pending.
     bool launch(std::size_t k, std::uint32_t output, int attempt) override {
-      const std::size_t pi = static_cast<std::size_t>(idlePeer());
-      Peer& p = peers_[pi];
-      if (p.fd < 0) {
-        Result<int> fd =
-            net::connectTo(p.host, p.port, opt_.fleetConnectTimeoutMs);
-        if (!fd.isOk()) {
-          // The task never reached an agent, so no retry attempt is
-          // consumed: the refusal is the peer's failure, and enough of
-          // those kill the peer (and eventually lose the fleet).
-          eng_.fleetEvent(workerExitCauseName(WorkerExitCause::kConnRefused),
-                          p.spec, output, attempt - 1, fd.status().message());
-          failPeer(pi, fd.status().message());
-          return false;
-        }
-        p.fd = fd.take();
-        p.rx.clear();
-      }
-      FleetTaskRequest req;
-      req.output = output;
-      req.attempt = attempt;
-      req.epoch = ++epochCounter_;
-      req.leaseSeconds = opt_.fleetLeaseSeconds;
-      req.caseCrc = caseCrc_;
-      if (!net::sendFrame(p.fd, ipc::kTypeFleetTask,
-                          encodeFleetTaskRequest(req))
-               .isOk()) {
-        fail(k, WorkerExitCause::kConnReset, p.spec,
-             "task request send failed");
-        failPeer(pi, "task request send failed");
-        return false;
-      }
-      Task& t = tasks_[k];
-      t.live = true;
-      t.output = output;
-      t.peer = static_cast<int>(pi);
-      t.epoch = req.epoch;
-      t.deadline = clock_.seconds() + opt_.fleetLeaseSeconds;
-      p.st = PeerState::kBusy;
-      p.task = static_cast<int>(k);
-      return true;
+      outputs_[k] = output;
+      const auto encode = [&](std::uint64_t epoch) {
+        FleetTaskRequest req;
+        req.output = output;
+        req.attempt = attempt;
+        req.epoch = epoch;
+        req.leaseSeconds = eng_.opt_.fleetLeaseSeconds;
+        req.caseCrc = case_->crc;
+        return encodeFleetTaskRequest(req);
+      };
+      return pool_
+          .assign(std::to_string(k), ipc::kTypeFleetTask, encode, case_)
+          .isOk();
     }
 
     void wait(std::size_t, double) override {
       // A fleet event, or a backoff / lease tick.
-      std::vector<int> fds;
-      for (const Peer& p : peers_)
-        if (p.fd >= 0) fds.push_back(p.fd);
-      subprocess::pollReadable(fds, 20);
-
-      for (std::size_t pi = 0; pi < peers_.size(); ++pi) servicePeer(pi);
-
-      // Lease enforcement: an assignment with no heartbeat inside its lease
-      // is reclaimed. The connection is kept - the agent may still deliver
-      // a now-stale result, and discarding it by epoch is cheaper than
-      // resynchronizing a torn stream - but the peer stops counting toward
-      // fleet health until that happens.
-      const double now = clock_.seconds();
-      for (std::size_t k = 0; k < tasks_.size(); ++k) {
-        const Task& t = tasks_[k];
-        if (!t.live || now <= t.deadline) continue;
-        Peer& p = peers_[static_cast<std::size_t>(t.peer)];
-        p.st = PeerState::kLagging;
-        fail(k, WorkerExitCause::kLeaseExpired, p.spec,
-             "no heartbeat within the lease");
-      }
+      subprocess::pollReadable(pool_.pollFds(), 20);
+      for (AgentPool::Event& ev : pool_.poll()) handle(ev);
     }
 
-    /// kLagging and kDead peers cannot take work, so only kIdle/kBusy count.
-    std::string lost() const override {
-      std::size_t healthy = 0;
-      for (const Peer& p : peers_)
-        if (p.st == PeerState::kIdle || p.st == PeerState::kBusy) ++healthy;
-      if (healthy >= static_cast<std::size_t>(opt_.fleetMinWorkers)) return {};
-      return std::to_string(healthy) + " usable worker(s), minimum " +
-             std::to_string(opt_.fleetMinWorkers);
-    }
+    std::string lost() const override { return pool_.degraded(); }
 
     /// Abandons the agents (no attempt is charged: the supervisor is
     /// leaving them, not the other way around).
-    void cancelAll() override {
-      for (Peer& p : peers_) {
-        net::closeSocket(p.fd);
-        p.rx.clear();
-        p.task = -1;
-        p.st = PeerState::kDead;
-      }
-      for (Task& t : tasks_) t.live = false;
-    }
+    void cancelAll() override { pool_.closeAll(); }
 
    private:
-    struct Task {
-      bool live = false;  ///< an assignment is outstanding
-      std::uint32_t output = 0;
-      int peer = -1;            ///< assigned peer while live
-      std::uint64_t epoch = 0;  ///< current assignment; stale frames differ
-      double deadline = 0.0;    ///< lease expiry on the executor clock
-    };
-    enum class PeerState : std::uint8_t { kIdle, kBusy, kLagging, kDead };
-    struct Peer {
-      std::string spec;  ///< "host:port" as the user wrote it
-      std::string host;
-      std::uint16_t port = 0;
-      int fd = -1;
-      std::string rx;   ///< framed receive stream
-      int strikes = 0;  ///< consecutive transport failures
-      int task = -1;    ///< task index while kBusy / kLagging
-      PeerState st = PeerState::kIdle;
-    };
-    static constexpr int kPeerMaxStrikes = 2;
-
-    int idlePeer() const {
-      for (std::size_t i = 0; i < peers_.size(); ++i)
-        if (peers_[i].st == PeerState::kIdle) return static_cast<int>(i);
-      return -1;
+    /// Assignments are labelled with their slot.
+    static std::size_t slotOf(const AgentPool::Event& ev) {
+      return std::stoul(ev.name);
     }
 
-    /// The task index whose live assignment this peer holds, or -1.
-    int liveTask(const Peer& p) const {
-      return p.st == PeerState::kBusy && p.task >= 0 &&
-                     tasks_[static_cast<std::size_t>(p.task)].live
-                 ? p.task
-                 : -1;
-    }
-
-    /// True when `epoch` names the live assignment of this peer's task.
-    bool isCurrent(const Peer& p, std::uint64_t epoch) const {
-      const int k = liveTask(p);
-      return k >= 0 && tasks_[static_cast<std::size_t>(k)].epoch == epoch;
+    void handle(AgentPool::Event& ev) {
+      switch (ev.kind) {
+        case AgentPool::EventKind::kResult: {
+          const std::size_t k = slotOf(ev);
+          Result<WorkerPatch> decoded = decodeWorkerPatch(ev.payload, base_);
+          if (!decoded.isOk()) {
+            const std::string why = decoded.status().message();
+            pool_.reject(ev.peer,
+                         workerExitCauseName(WorkerExitCause::kGarbageIpc),
+                         "undecodable result: " + why);
+            fail(k, WorkerExitCause::kGarbageIpc, ev.worker, why);
+            return;
+          }
+          TaskOutcome out;
+          out.slot = k;
+          out.patch.emplace(decoded.take());
+          out.worker = ev.worker;
+          report_(std::move(out));
+          return;
+        }
+        case AgentPool::EventKind::kFailure:
+          fail(slotOf(ev),
+               workerExitCauseFromName(ev.cause).value_or(
+                   WorkerExitCause::kCrash),
+               ev.worker, ev.detail);
+          return;
+        case AgentPool::EventKind::kStale:
+          eng_.fleetEvent(ev.cause, ev.worker, outputs_[slotOf(ev)], 0,
+                          ev.detail);
+          return;
+        case AgentPool::EventKind::kStrike:
+          eng_.fleetEvent(ev.cause, ev.worker, 0, 0, ev.detail);
+          return;
+        case AgentPool::EventKind::kDead:
+          eng_.fleetEvent("worker-dead", ev.worker, 0, 0, ev.detail);
+          std::fprintf(stderr, "[syseco] fleet worker %s marked dead: %s\n",
+                       ev.worker.c_str(), ev.detail.c_str());
+          return;
+        case AgentPool::EventKind::kUpload:
+          eng_.fleetEvent("case-upload", ev.worker, 0, 0, ev.detail);
+          return;
+      }
     }
 
     void fail(std::size_t k, WorkerExitCause cause, const std::string& worker,
               const std::string& reason) {
-      tasks_[k].live = false;
       TaskOutcome ev;
       ev.slot = k;
       ev.cause = cause;
@@ -914,187 +848,14 @@ class Engine {
       report_(std::move(ev));
     }
 
-    /// Fails the peer's live task (if any) and strikes the peer.
-    void failTaskAndPeer(std::size_t pi, WorkerExitCause cause,
-                         const std::string& why) {
-      const Peer& p = peers_[pi];
-      const int k = liveTask(p);
-      if (k >= 0)
-        fail(static_cast<std::size_t>(k), cause, p.spec, why);
-      else
-        eng_.fleetEvent(workerExitCauseName(cause), p.spec, 0, 0, why);
-      failPeer(pi, why);
-    }
-
-    void failPeer(std::size_t pi, const std::string& why) {
-      Peer& p = peers_[pi];
-      net::closeSocket(p.fd);
-      p.rx.clear();
-      p.task = -1;
-      ++p.strikes;
-      if (p.strikes >= kPeerMaxStrikes) {
-        p.st = PeerState::kDead;
-        eng_.fleetEvent("worker-dead", p.spec, 0, 0, why);
-        std::fprintf(stderr, "[syseco] fleet worker %s marked dead: %s\n",
-                     p.spec.c_str(), why.c_str());
-      } else {
-        p.st = PeerState::kIdle;
-      }
-    }
-
-    /// The agent answered for its assignment (result or contained
-    /// failure): it is healthy and rejoins the pool.
-    void settlePeer(Peer& p) {
-      p.task = -1;
-      p.strikes = 0;
-      p.st = PeerState::kIdle;
-    }
-
-    // A stale frame: the agent finished an assignment that was already
-    // reclaimed. The duplicate is discarded by epoch and the agent rejoins
-    // the pool - it is alive and computed honestly, just too late.
-    void settleStale(Peer& p, std::uint64_t epoch, const char* what) {
-      const std::uint32_t output =
-          p.task >= 0 ? tasks_[static_cast<std::size_t>(p.task)].output : 0;
-      eng_.fleetEvent("stale-epoch", p.spec, output, 0,
-                      std::string("discarded duplicate ") + what +
-                          " for epoch " + std::to_string(epoch));
-      if (p.st == PeerState::kLagging) settlePeer(p);
-    }
-
-    void handleFrame(std::size_t pi, const ipc::Frame& f) {
-      Peer& p = peers_[pi];
-      switch (f.type) {
-        case ipc::kTypeFleetNeedCase: {
-          Result<std::uint32_t> crc = decodeFleetNeedCase(f.payload);
-          if (!crc.isOk() || crc.value() != caseCrc_) {
-            failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
-                            "bad need-case frame");
-            return;
-          }
-          eng_.fleetEvent("case-upload", p.spec, 0, 0,
-                          std::to_string(casePayload_.size()) + " bytes");
-          if (!net::sendFrame(p.fd, ipc::kTypeFleetCase, casePayload_)
-                   .isOk()) {
-            const int k = liveTask(p);
-            if (k >= 0)
-              fail(static_cast<std::size_t>(k), WorkerExitCause::kConnReset,
-                   p.spec, "case upload failed");
-            failPeer(pi, "case upload failed");
-          }
-          return;
-        }
-        case ipc::kTypeFleetHeartbeat: {
-          Result<std::uint64_t> ep = decodeFleetHeartbeat(f.payload);
-          if (!ep.isOk()) {
-            failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
-                            "bad heartbeat frame");
-            return;
-          }
-          // Heartbeats for reclaimed assignments are ignored: the peer is
-          // kLagging and stays out of the pool until its stale result
-          // lands.
-          if (isCurrent(p, ep.value()))
-            tasks_[static_cast<std::size_t>(p.task)].deadline =
-                clock_.seconds() + opt_.fleetLeaseSeconds;
-          return;
-        }
-        case ipc::kTypeFleetResult: {
-          Result<std::uint64_t> ep = peekFleetEpoch(f.payload);
-          if (!ep.isOk()) {
-            failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
-                            "bad result envelope");
-            return;
-          }
-          if (!isCurrent(p, ep.value())) {
-            settleStale(p, ep.value(), "result");
-            return;
-          }
-          const std::size_t k = static_cast<std::size_t>(p.task);
-          Result<WorkerPatch> decoded = decodeWorkerPatch(f.payload, base_);
-          if (!decoded.isOk()) {
-            fail(k, WorkerExitCause::kGarbageIpc, p.spec,
-                 decoded.status().message());
-            failPeer(pi, "undecodable result: " + decoded.status().message());
-            return;
-          }
-          tasks_[k].live = false;
-          settlePeer(p);
-          TaskOutcome ev;
-          ev.slot = k;
-          ev.patch.emplace(decoded.take());
-          ev.worker = p.spec;
-          report_(std::move(ev));
-          return;
-        }
-        case ipc::kTypeFleetFailure: {
-          Result<FleetFailure> failure = decodeFleetFailure(f.payload);
-          if (!failure.isOk()) {
-            failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
-                            "bad failure frame");
-            return;
-          }
-          if (!isCurrent(p, failure.value().epoch)) {
-            settleStale(p, failure.value().epoch, "failure");
-            return;
-          }
-          const std::size_t k = static_cast<std::size_t>(p.task);
-          // A contained failure report proves the agent itself is healthy.
-          settlePeer(p);
-          fail(k,
-               workerExitCauseFromName(failure.value().cause)
-                   .value_or(WorkerExitCause::kCrash),
-               p.spec, failure.value().detail);
-          return;
-        }
-        default:
-          failTaskAndPeer(pi, WorkerExitCause::kGarbageIpc,
-                          "unexpected fleet frame type " +
-                              std::to_string(f.type));
-          return;
-      }
-    }
-
-    /// Drains the peer's stream, dispatches whole frames and classifies a
-    /// broken stream.
-    void servicePeer(std::size_t pi) {
-      Peer& p = peers_[pi];
-      if (p.fd < 0) return;
-      const ioretry::DrainOutcome dr =
-          ioretry::drainNonblockingRaw(p.fd, &p.rx);
-      const bool eof = dr.state == ioretry::DrainState::kEof;
-      const int derr = dr.state == ioretry::DrainState::kError ? dr.err : 0;
-      while (p.fd >= 0) {
-        net::RecvOutcome out = net::takeFrame(&p.rx, eof, derr);
-        if (out.status == net::RecvStatus::kFrame) {
-          handleFrame(pi, out.frame);
-          continue;
-        }
-        if (out.status == net::RecvStatus::kTimeout) break;  // stream intact
-        WorkerExitCause cause = WorkerExitCause::kConnReset;
-        if (out.status == net::RecvStatus::kTruncated)
-          cause = WorkerExitCause::kFrameTruncated;
-        else if (out.status == net::RecvStatus::kGarbage)
-          cause = WorkerExitCause::kGarbageIpc;
-        failTaskAndPeer(
-            pi, cause,
-            out.detail.empty() ? workerExitCauseName(cause) : out.detail);
-        break;
-      }
-    }
-
     const Engine& eng_;
-    const SysecoOptions& opt_;
     const Netlist& base_;
     const Report report_;
     /// The one-time case upload: everything a task is a pure function of,
     /// minus the output index.
-    const std::string casePayload_;
-    const std::uint32_t caseCrc_;
-    std::vector<Task> tasks_;
-    std::vector<Peer> peers_;
-    std::uint64_t epochCounter_ = 0;
-    Timer clock_;
+    const std::shared_ptr<const AgentPool::Case> case_;
+    std::vector<std::uint32_t> outputs_;  ///< per slot, set at launch
+    AgentPool pool_;
   };
 
   /// The plan-order supervisor behind every speculative mode. Each planned

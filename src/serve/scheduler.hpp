@@ -2,7 +2,7 @@
 // The one job scheduler behind the --serve daemon and the --batch sweep.
 //
 // Scheduler owns the durable JobQueue and everything that moves a job
-// through it: the CaseDispatcher that ships whole cases to --serve-worker
+// through it: the AgentPool that ships whole cases to --serve-worker
 // agents, the PoolWatchdog that fork/execs local engine workers, retry
 // clocks, fleet degradation, result settling, reaping, requeue/quarantine
 // and artifact writes. It advances in one non-blocking tick(); the daemon
@@ -21,19 +21,12 @@
 //     written atomically and checked before the job is marked done; a
 //     failed write re-queues the job through the retry path instead.
 //
-// CaseDispatcher is the supervisor side of the kTypeFleetCaseTask protocol
-// (eco/isolate): it multiplexes every agent connection over one poll loop,
-// uploads case payloads on demand through the crc32 content-addressed
-// need-case handshake (so an agent's CaseCacheLru amortizes the upload
-// across retries), renews case leases from agent heartbeats, and classifies
-// everything that can go wrong - transport breaks, contained failures,
-// expired leases, stale-epoch duplicates from reassigned cases - into
-// events the scheduler folds into the queue. Peer health follows the
-// per-output fleet's rules: two strikes mark a peer dead, a lease-expired
-// peer keeps its connection (the late duplicate is cheaper to discard by
-// epoch than a stream resync) but stops counting toward fleet health until
-// it answers. When fewer than fleetMinWorkers agents stay usable the
-// scheduler degrades - permanently for its lifetime - to the local pool.
+// Remote jobs travel as kTypeFleetCaseTask assignments through the same
+// AgentPool (eco/fleet.hpp) that drives the engine's per-output fleet: it
+// owns connects, epochs, need-case uploads, leases and the one peer-health
+// rule, and the scheduler folds its events into the queue. When fewer than
+// fleetMinWorkers agents stay usable the scheduler degrades - permanently
+// for its lifetime - to the local pool.
 
 #include <atomic>
 #include <cstdint>
@@ -42,11 +35,11 @@
 #include <utility>
 #include <vector>
 
+#include "eco/fleet.hpp"
 #include "eco/isolate.hpp"
 #include "serve/codec.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/watchdog.hpp"
-#include "util/ipc.hpp"
 #include "util/status.hpp"
 #include "util/timer.hpp"
 
@@ -69,112 +62,6 @@ double caseRedispatchBackoffSeconds(double backoffBaseMs, std::uint64_t seed,
 /// must be refused (daemon) or failed as invalid-input (batch), never
 /// dispatched to fail.
 Status validatePayload(const SubmitRequest& request);
-
-/// Case-level fleet scheduler: connects lazily, assigns whole cases,
-/// answers need-case uploads, and turns every asynchronous outcome into an
-/// Event stream the caller folds into its queue.
-class CaseDispatcher {
- public:
-  struct Options {
-    std::vector<std::string> workers;  ///< "host:port" agent specs
-    double leaseSeconds = 10.0;
-    int connectTimeoutMs = 2000;
-    int minWorkers = 1;  ///< usable-agent floor before degradation
-    bool verbose = false;
-  };
-
-  /// A successful dispatch: which agent took the case under which epoch.
-  struct Assignment {
-    std::string worker;
-    std::uint64_t epoch = 0;
-  };
-
-  enum class EventKind {
-    kResult,        ///< decoded whole-case result for the live assignment
-    kFailure,       ///< the assignment failed; the case must be re-queued
-    kStaleDiscard,  ///< duplicate from a reclaimed epoch, discarded
-    kPeerDead,      ///< an agent crossed the strike limit (no case attached)
-  };
-
-  struct Event {
-    EventKind kind = EventKind::kFailure;
-    std::string name;   ///< assigned case (kResult/kFailure/kStaleDiscard)
-    std::string worker;
-    std::int64_t attempt = 0;  ///< dispatch ordinal of the assignment
-    FleetCaseResult result;    ///< kResult only
-    std::string cause;   ///< workerExitCauseName token (kFailure/kPeerDead)
-    std::string detail;
-  };
-
-  explicit CaseDispatcher(Options opt);
-  ~CaseDispatcher();
-  CaseDispatcher(const CaseDispatcher&) = delete;
-  CaseDispatcher& operator=(const CaseDispatcher&) = delete;
-
-  bool enabled() const { return !opt_.workers.empty(); }
-  /// Agents that can take (or are computing) work: not dead, not lagging
-  /// behind an expired lease.
-  std::size_t usableWorkers() const;
-  /// True while usableWorkers() still meets the minWorkers floor.
-  bool fleetUsable() const;
-  bool hasIdlePeer() const;
-
-  /// Dispatches one whole case to an idle usable agent. `casePayload` is
-  /// the encodeFleetCase document (kept for need-case answers until the
-  /// assignment settles); `attempt` is the queue's dispatch ordinal,
-  /// carried back in every event about this assignment. Peers that refuse
-  /// the connection or the send are struck and the next idle peer is
-  /// tried; kInternal when none accepted (the case stays queued).
-  Result<Assignment> assign(const std::string& name, std::string casePayload,
-                            std::int64_t jobs, std::int64_t attempt,
-                            double nowSeconds);
-
-  /// Readable fds for the caller's poll tick (all live agent connections).
-  std::vector<int> pollFds() const;
-
-  /// One non-blocking pump of every agent connection plus lease
-  /// enforcement. Returns the events that settled this tick.
-  std::vector<Event> poll(double nowSeconds);
-
-  void closeAll();
-
- private:
-  struct Peer {
-    std::string spec;  ///< "host:port" as configured
-    std::string host;
-    std::uint16_t port = 0;
-    int fd = -1;
-    std::string rx;
-    int strikes = 0;
-    bool dead = false;
-    /// Lease expired with the connection kept: out of the health count
-    /// until the stale duplicate lands (or the stream breaks).
-    bool lagging = false;
-    bool busy = false;
-    std::string caseName;
-    std::string casePayload;  ///< for need-case answers mid-assignment
-    std::uint32_t caseCrc = 0;
-    std::uint64_t epoch = 0;
-    std::int64_t attempt = 0;
-    double deadline = 0.0;
-  };
-
-  void log(const std::string& msg) const;
-  /// Strikes `p` and tears the connection down; reclaims its case (as a
-  /// kFailure event) when one was in flight.
-  void breakPeer(Peer& p, const std::string& cause, const std::string& why,
-                 std::vector<Event>& out);
-  void servicePeer(Peer& p, double nowSeconds, std::vector<Event>& out);
-  void handleFrame(Peer& p, const ipc::Frame& frame, double nowSeconds,
-                   std::vector<Event>& out);
-  Event reclaim(Peer& p, const std::string& cause, const std::string& why);
-
-  Options opt_;
-  std::vector<Peer> peers_;
-  std::uint64_t epochCounter_ = 0;
-  /// Peer-death notes raised inside assign(), drained by the next poll().
-  std::vector<Event> pending_;
-};
 
 /// The knobs --serve and --batch share (CLI flags plus plumbing).
 struct SchedulerOptions {
@@ -207,7 +94,7 @@ class Scheduler {
   JobQueue& queue() { return queue_; }
 
   /// Readable fds for the caller's poll wait (agent connections).
-  std::vector<int> pollFds() const { return dispatcher_.pollFds(); }
+  std::vector<int> pollFds() const { return pool_.pollFds(); }
 
   /// One non-blocking step: settle fleet events, reap local exits, then
   /// dispatch queued jobs onto free capacity.
@@ -233,7 +120,7 @@ class Scheduler {
 
  private:
   void serviceFleet();
-  void settle(const CaseDispatcher::Event& ev, double now);
+  void settle(const AgentPool::Event& ev, double now);
   void reapExits(double now);
   void dispatchQueued();
   bool dispatchRemote(Job& job);
@@ -249,8 +136,8 @@ class Scheduler {
   const SchedulerOptions& opt_;
   JobQueue queue_;
   PoolWatchdog watchdog_;
-  /// Idle (and never polled) when started without workers.
-  CaseDispatcher dispatcher_;
+  /// Empty (and never polled) when started without workers.
+  AgentPool pool_;
   bool fleetDegraded_ = false;
   /// Retry pacing: job id -> monotonic seconds before which it must not be
   /// re-dispatched. Deliberately not persisted: clocks restart at zero in

@@ -23,7 +23,10 @@
 #include "loopback_agent.hpp"
 #include "serve/batch.hpp"
 #include "serve/job_queue.hpp"
+#include "serve/scheduler.hpp"
+#include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "util/timer.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -511,6 +514,51 @@ TEST(BatchEndToEnd, FreshStateDirRefusesAResumedLedger) {
   Result<serve::BatchOutcome> third = serve::runBatch(opt);
   ASSERT_TRUE(third.isOk()) << third.status().toString();
   EXPECT_EQ(third.value().done, 2u);
+}
+
+TEST(BatchEndToEnd, LeaseExpiryThenDisconnectMarksTheAgentDead) {
+  const std::string dir = freshDir("lease_then_drop");
+  RoguePeer rogue;
+  rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
+    // Lose the case lease in silence (one strike), then hang up (the
+    // second).
+    (void)self.readFrame(fd, rx);
+    self.sleepMs(1000);
+    net::closeSocket(fd);
+    self.closeListener();
+  });
+  LoopbackAgent good;
+  good.start();
+  serve::SchedulerOptions opt;
+  opt.stateDir = dir;
+  opt.selfExe = SYSECO_CLI_BIN;
+  opt.workers = {rogue.spec(), good.spec()};
+  opt.fleetLeaseSeconds = 0.4;
+  opt.fleetConnectTimeoutMs = 500;
+  Result<JobQueue> queue = JobQueue::open(dir);
+  ASSERT_TRUE(queue.isOk()) << queue.status().toString();
+  serve::Scheduler sched(opt, queue.take());
+  serve::SubmitRequest req;
+  req.implText = slurp(std::string(SYSECO_SOURCE_DIR) + "/data/alu_impl.blif");
+  req.specText = slurp(std::string(SYSECO_SOURCE_DIR) + "/data/alu_spec.blif");
+  Result<Job*> job = sched.queue().submit(req, "alu");
+  ASSERT_TRUE(job.isOk()) << job.status().toString();
+
+  const std::string wal = dir + "/queue/journal.jsonl";
+  const std::string deadNote = "worker " + rogue.spec() + " marked dead";
+  for (Timer t; t.seconds() < 60.0;) {
+    sched.tick();
+    if (job.value()->state == QueueState::kDone &&
+        slurp(wal).find(deadNote) != std::string::npos)
+      break;
+    subprocess::pollReadable(sched.pollFds(), 20);
+  }
+  sched.shutdown();
+  EXPECT_EQ(job.value()->state, QueueState::kDone) << job.value()->detail;
+  EXPECT_EQ(job.value()->worker, good.spec());
+  const std::string text = slurp(wal);
+  EXPECT_NE(text.find("lease-expired"), std::string::npos);
+  EXPECT_NE(text.find(deadNote + " (conn-reset)"), std::string::npos);
 }
 
 #endif  // SYSECO_CLI_BIN

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -30,10 +31,12 @@
 #include "gen/eco_case.hpp"
 #include "io/journal_io.hpp"
 #include "loopback_agent.hpp"
+#include "util/crc32.hpp"
 #include "util/io_retry.hpp"
 #include "util/ipc.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "util/timer.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -439,57 +442,6 @@ void expectOneFailedAttempt(const SysecoDiagnostics& diag,
   EXPECT_EQ(hits, 1);
 }
 
-/// A scripted rogue peer: accepts the supervisor once, hands the connection
-/// to the test's script, and dies. The script decides how to sabotage.
-struct RoguePeer {
-  std::atomic<bool> stop{false};
-  std::uint16_t port = 0;
-  int listenFd = -1;
-  std::thread th;
-
-  void start(std::function<void(RoguePeer&, int&, std::string&)> script) {
-    Result<int> lf = net::listenOn(0, &port);
-    ASSERT_TRUE(lf.isOk()) << lf.status().toString();
-    listenFd = lf.take();
-    th = std::thread([this, script = std::move(script)] {
-      int fd = -1;
-      while (!stop.load() && fd < 0) {
-        Result<int> c = net::acceptClient(listenFd, 100);
-        if (!c.isOk()) return;
-        if (c.value() >= 0) fd = c.value();
-      }
-      if (fd < 0) return;
-      std::string rx;
-      script(*this, fd, rx);
-      if (fd >= 0) net::closeSocket(fd);
-    });
-  }
-
-  std::string spec() const { return "127.0.0.1:" + std::to_string(port); }
-
-  void closeListener() { net::closeSocket(listenFd); }
-
-  std::optional<ipc::Frame> readFrame(int fd, std::string& rx) {
-    while (!stop.load()) {
-      net::RecvOutcome out = net::recvFrame(fd, &rx, 100);
-      if (out.status == net::RecvStatus::kFrame) return out.frame;
-      if (out.status != net::RecvStatus::kTimeout) return std::nullopt;
-    }
-    return std::nullopt;
-  }
-
-  void sleepMs(int ms) {
-    for (int waited = 0; waited < ms && !stop.load(); waited += 20)
-      subprocess::pollReadable({}, 20);
-  }
-
-  ~RoguePeer() {
-    stop.store(true);
-    if (th.joinable()) th.join();
-    if (listenFd >= 0) net::closeSocket(listenFd);
-  }
-};
-
 TEST(FleetEngine, CleanFleetRunIsBitIdenticalToTheLocalRun) {
   const EcoCase c = fleetEcoCase(11);
   LoopbackAgent a1, a2;
@@ -621,6 +573,343 @@ TEST(FleetEngine, FleetLossDegradesToInProcessExecution) {
   EXPECT_TRUE(hasEvent(fleet.events, "conn-refused"));
   EXPECT_TRUE(hasEvent(fleet.events, "worker-dead"));
   EXPECT_TRUE(hasEvent(fleet.events, "fleet-degraded"));
+}
+
+TEST(FleetEngine, LeaseExpiryThenDisconnectMarksTheWorkerDead) {
+  const EcoCase c = fleetEcoCase(11);
+  RoguePeer rogue;
+  rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
+    // Lose the lease in silence (one strike), then hang up (the second).
+    (void)self.readFrame(fd, rx);
+    self.sleepMs(1000);
+    net::closeSocket(fd);
+    self.closeListener();
+  });
+  LoopbackAgent good;
+  good.start();
+  // A long backoff holds the reclaimed task pending, so the run is still
+  // in flight when the rogue hangs up.
+  const FleetOutcome fleet = runFleetCase(c, {rogue.spec(), good.spec()},
+                                          /*lease=*/0.4, /*backoffMs=*/2500.0);
+  expectSameRectification(runLocalCase(c), fleet.run);
+  expectOneFailedAttempt(fleet.run.diag, WorkerExitCause::kLeaseExpired);
+  EXPECT_TRUE(hasEvent(fleet.events, "lease-expired"));
+  // The hang-up itself is the second strike - not a later refused
+  // reconnect.
+  bool deadOnHangUp = false;
+  for (std::size_t i = 1; i < fleet.events.size(); ++i)
+    if (fleet.events[i].kind == "worker-dead" &&
+        fleet.events[i].worker == rogue.spec())
+      deadOnHangUp = fleet.events[i - 1].kind == "conn-reset" &&
+                     fleet.events[i - 1].worker == rogue.spec();
+  EXPECT_TRUE(deadOnHangUp);
+}
+
+// --- The shared agent client (AgentPool) against scripted peers -----------
+//
+// Every sabotage runs against both assignment kinds: per-output tasks (the
+// engine's --workers fleet) and whole-case tasks (--batch / --serve).
+
+const std::uint32_t kTaskTypes[] = {ipc::kTypeFleetTask,
+                                    ipc::kTypeFleetCaseTask};
+
+std::uint32_t resultTypeFor(std::uint32_t taskType) {
+  return taskType == ipc::kTypeFleetTask ? ipc::kTypeFleetResult
+                                         : ipc::kTypeFleetCaseResult;
+}
+
+/// The epoch a task frame carries, whichever kind it is (0 if garbled).
+std::uint64_t taskEpoch(const ipc::Frame& task) {
+  if (task.type == ipc::kTypeFleetTask) {
+    Result<FleetTaskRequest> r = decodeFleetTaskRequest(task.payload);
+    return r.isOk() ? r.value().epoch : 0;
+  }
+  Result<FleetCaseTask> r = decodeFleetCaseTask(task.payload);
+  return r.isOk() ? r.value().epoch : 0;
+}
+
+/// A well-formed result payload of the task kind, stamped with `epoch`.
+std::string resultPayload(std::uint32_t taskType, std::uint64_t epoch) {
+  if (taskType == ipc::kTypeFleetTask)
+    return encodeFleetResult(epoch, WorkerPatch{});
+  FleetCaseResult res;
+  res.epoch = epoch;
+  return encodeFleetCaseResult(res);
+}
+
+AgentPool::Options poolOptions(std::vector<std::string> workers,
+                               double leaseSeconds) {
+  AgentPool::Options o;
+  o.workers = std::move(workers);
+  o.leaseSeconds = leaseSeconds;
+  o.connectTimeoutMs = 500;
+  return o;
+}
+
+/// Assigns one task of `taskType`, labelled "t1".
+Result<AgentPool::Assignment> assignOne(AgentPool& pool,
+                                        std::uint32_t taskType) {
+  const auto upload = std::make_shared<const AgentPool::Case>("case");
+  return pool.assign(
+      "t1", taskType,
+      [&](std::uint64_t epoch) {
+        if (taskType == ipc::kTypeFleetTask) {
+          FleetTaskRequest req;
+          req.epoch = epoch;
+          req.caseCrc = upload->crc;
+          return encodeFleetTaskRequest(req);
+        }
+        FleetCaseTask task;
+        task.name = "t1";
+        task.epoch = epoch;
+        task.caseCrc = upload->crc;
+        return encodeFleetCaseTask(task);
+      },
+      upload);
+}
+
+using Events = std::vector<AgentPool::Event>;
+
+const AgentPool::Event* findEvent(const Events& events,
+                                  AgentPool::EventKind kind) {
+  for (const AgentPool::Event& e : events)
+    if (e.kind == kind) return &e;
+  return nullptr;
+}
+
+/// Polls the pool until an event of `kind` arrives (or `seconds` pass) and
+/// returns everything seen.
+Events pollFor(AgentPool& pool, AgentPool::EventKind kind,
+               double seconds = 5.0) {
+  Events seen;
+  for (Timer t; t.seconds() < seconds;) {
+    subprocess::pollReadable(pool.pollFds(), 20);
+    for (AgentPool::Event& e : pool.poll()) seen.push_back(std::move(e));
+    if (findEvent(seen, kind)) break;
+  }
+  return seen;
+}
+
+TEST(AgentPool, SilentPeerLosesItsLeaseButKeepsItsConnection) {
+  for (const std::uint32_t type : kTaskTypes) {
+    SCOPED_TRACE(type);
+    RoguePeer rogue;
+    rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
+      (void)self.readFrame(fd, rx);
+      self.sleepMs(60000);
+    });
+    AgentPool pool(poolOptions({rogue.spec()}, 0.3));
+    ASSERT_TRUE(assignOne(pool, type).isOk());
+    const Events seen = pollFor(pool, AgentPool::EventKind::kFailure);
+    const AgentPool::Event* failure =
+        findEvent(seen, AgentPool::EventKind::kFailure);
+    ASSERT_NE(failure, nullptr);
+    EXPECT_EQ(failure->cause, "lease-expired");
+    EXPECT_EQ(failure->name, "t1");
+    EXPECT_EQ(findEvent(seen, AgentPool::EventKind::kDead), nullptr);
+    // One strike: lagging, out of the usable count, still connected.
+    EXPECT_EQ(pool.usableWorkers(), 0u);
+    EXPECT_FALSE(pool.hasIdlePeer());
+    EXPECT_EQ(pool.pollFds().size(), 1u);
+  }
+}
+
+TEST(AgentPool, LateDuplicateIsDiscardedByEpochAndThePeerRejoins) {
+  for (const std::uint32_t type : kTaskTypes) {
+    SCOPED_TRACE(type);
+    RoguePeer rogue;
+    rogue.start([type](RoguePeer& self, int& fd, std::string& rx) {
+      std::optional<ipc::Frame> task = self.readFrame(fd, rx);
+      if (!task) return;
+      self.sleepMs(700);
+      (void)net::sendFrame(fd, resultTypeFor(type),
+                           resultPayload(type, taskEpoch(*task)));
+      self.sleepMs(60000);
+    });
+    AgentPool pool(poolOptions({rogue.spec()}, 0.3));
+    Result<AgentPool::Assignment> a = assignOne(pool, type);
+    ASSERT_TRUE(a.isOk());
+    const Events seen = pollFor(pool, AgentPool::EventKind::kStale);
+    const AgentPool::Event* failure =
+        findEvent(seen, AgentPool::EventKind::kFailure);
+    ASSERT_NE(failure, nullptr);
+    EXPECT_EQ(failure->cause, "lease-expired");
+    const AgentPool::Event* stale =
+        findEvent(seen, AgentPool::EventKind::kStale);
+    ASSERT_NE(stale, nullptr);
+    EXPECT_EQ(stale->epoch, a.value().epoch);
+    EXPECT_EQ(stale->name, "t1");
+    EXPECT_EQ(findEvent(seen, AgentPool::EventKind::kResult), nullptr);
+    EXPECT_EQ(pool.usableWorkers(), 1u);
+    EXPECT_TRUE(pool.hasIdlePeer());
+  }
+}
+
+TEST(AgentPool, HalfFrameThenEofIsFrameTruncated) {
+  for (const std::uint32_t type : kTaskTypes) {
+    SCOPED_TRACE(type);
+    RoguePeer rogue;
+    rogue.start([type](RoguePeer& self, int& fd, std::string& rx) {
+      (void)self.readFrame(fd, rx);
+      const std::string full =
+          ipc::encodeFrame(resultTypeFor(type), std::string(512, 'y'));
+      (void)ioretry::writeAllRaw(
+          fd, std::string_view(full).substr(0, full.size() / 2), true);
+      net::closeSocket(fd);
+    });
+    AgentPool pool(poolOptions({rogue.spec()}, 10.0));
+    ASSERT_TRUE(assignOne(pool, type).isOk());
+    const Events seen = pollFor(pool, AgentPool::EventKind::kFailure);
+    const AgentPool::Event* failure =
+        findEvent(seen, AgentPool::EventKind::kFailure);
+    ASSERT_NE(failure, nullptr);
+    EXPECT_EQ(failure->cause, "frame-truncated");
+    // One strike: the peer stays usable and reconnects lazily.
+    EXPECT_EQ(findEvent(seen, AgentPool::EventKind::kDead), nullptr);
+    EXPECT_EQ(pool.usableWorkers(), 1u);
+  }
+}
+
+TEST(AgentPool, CorruptedFrameIsGarbageIpc) {
+  for (const std::uint32_t type : kTaskTypes) {
+    SCOPED_TRACE(type);
+    RoguePeer rogue;
+    rogue.start([type](RoguePeer& self, int& fd, std::string& rx) {
+      std::optional<ipc::Frame> task = self.readFrame(fd, rx);
+      if (!task) return;
+      std::string garbled = ipc::encodeFrame(
+          resultTypeFor(type), resultPayload(type, taskEpoch(*task)));
+      garbled[garbled.size() / 2] =
+          static_cast<char>(garbled[garbled.size() / 2] ^ 0x40);
+      (void)ioretry::writeAllRaw(fd, garbled, true);
+      self.sleepMs(60000);
+    });
+    AgentPool pool(poolOptions({rogue.spec()}, 10.0));
+    ASSERT_TRUE(assignOne(pool, type).isOk());
+    const Events seen = pollFor(pool, AgentPool::EventKind::kFailure);
+    const AgentPool::Event* failure =
+        findEvent(seen, AgentPool::EventKind::kFailure);
+    ASSERT_NE(failure, nullptr);
+    EXPECT_EQ(failure->cause, "garbage-ipc");
+    EXPECT_EQ(findEvent(seen, AgentPool::EventKind::kResult), nullptr);
+  }
+}
+
+TEST(AgentPool, RefusedConnectStrikesThePeerAndCostsNoAttempt) {
+  // Bind-and-release an ephemeral port so nothing is listening there.
+  std::uint16_t refusedPort = 0;
+  {
+    Result<int> l = net::listenOn(0, &refusedPort);
+    ASSERT_TRUE(l.isOk());
+    int fd = l.take();
+    net::closeSocket(fd);
+  }
+  const std::string refused = "127.0.0.1:" + std::to_string(refusedPort);
+  for (const std::uint32_t type : kTaskTypes) {
+    SCOPED_TRACE(type);
+    RoguePeer rogue;
+    std::atomic<bool> gotTask{false};
+    rogue.start([&gotTask](RoguePeer& self, int& fd, std::string& rx) {
+      if (self.readFrame(fd, rx)) gotTask.store(true);
+      self.sleepMs(60000);
+    });
+    AgentPool pool(poolOptions({refused, rogue.spec()}, 10.0));
+    // The refusal strikes the first peer; the task lands on the second.
+    Result<AgentPool::Assignment> a = assignOne(pool, type);
+    ASSERT_TRUE(a.isOk());
+    EXPECT_EQ(a.value().worker, rogue.spec());
+    const Events seen = pool.poll();
+    const AgentPool::Event* strike =
+        findEvent(seen, AgentPool::EventKind::kStrike);
+    ASSERT_NE(strike, nullptr);
+    EXPECT_EQ(strike->worker, refused);
+    EXPECT_EQ(strike->cause, "conn-refused");
+    EXPECT_EQ(findEvent(seen, AgentPool::EventKind::kFailure), nullptr);
+    for (Timer t; !gotTask.load() && t.seconds() < 5.0;)
+      subprocess::pollReadable({}, 10);
+    EXPECT_TRUE(gotTask.load());
+
+    // A second refusal kills the peer; still no assignment failed.
+    AgentPool lone(poolOptions({refused}, 10.0));
+    EXPECT_FALSE(assignOne(lone, type).isOk());
+    EXPECT_FALSE(assignOne(lone, type).isOk());
+    const Events loneSeen = lone.poll();
+    EXPECT_NE(findEvent(loneSeen, AgentPool::EventKind::kDead), nullptr);
+    EXPECT_EQ(findEvent(loneSeen, AgentPool::EventKind::kFailure), nullptr);
+    EXPECT_FALSE(lone.degraded().empty());
+  }
+}
+
+TEST(AgentPool, LeaseExpiryThenDisconnectMarksThePeerDead) {
+  for (const std::uint32_t type : kTaskTypes) {
+    SCOPED_TRACE(type);
+    RoguePeer rogue;
+    rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
+      (void)self.readFrame(fd, rx);
+      self.sleepMs(700);
+      net::closeSocket(fd);
+    });
+    AgentPool pool(poolOptions({rogue.spec()}, 0.3));
+    ASSERT_TRUE(assignOne(pool, type).isOk());
+    const Events seen = pollFor(pool, AgentPool::EventKind::kDead);
+    const AgentPool::Event* failure =
+        findEvent(seen, AgentPool::EventKind::kFailure);
+    ASSERT_NE(failure, nullptr);
+    EXPECT_EQ(failure->cause, "lease-expired");
+    const AgentPool::Event* dead = findEvent(seen, AgentPool::EventKind::kDead);
+    ASSERT_NE(dead, nullptr);
+    EXPECT_EQ(dead->cause, "conn-reset");
+    EXPECT_FALSE(pool.degraded().empty());
+  }
+}
+
+TEST(AgentPool, MalformedSpecIsDeadFromTheStartAndNeverConnected) {
+  RoguePeer rogue;
+  rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
+    (void)self.readFrame(fd, rx);
+    self.sleepMs(60000);
+  });
+  AgentPool pool(poolOptions({"not-an-endpoint", rogue.spec()}, 10.0));
+  EXPECT_EQ(pool.usableWorkers(), 1u);
+  Result<AgentPool::Assignment> a = assignOne(pool, ipc::kTypeFleetTask);
+  ASSERT_TRUE(a.isOk());
+  EXPECT_EQ(a.value().worker, rogue.spec());
+  const Events seen = pool.poll();
+  ASSERT_EQ(seen.size(), 1u) << "only the birth notice, no connect attempt";
+  EXPECT_EQ(seen[0].kind, AgentPool::EventKind::kDead);
+  EXPECT_EQ(seen[0].worker, "not-an-endpoint");
+  EXPECT_EQ(seen[0].cause, "conn-refused");
+}
+
+TEST(AgentPool, NeedCaseIsAnsweredAndTheLiveResultComesBackRaw) {
+  for (const std::uint32_t type : kTaskTypes) {
+    SCOPED_TRACE(type);
+    std::atomic<bool> uploaded{false};
+    RoguePeer rogue;
+    rogue.start([type, &uploaded](RoguePeer& self, int& fd, std::string& rx) {
+      std::optional<ipc::Frame> task = self.readFrame(fd, rx);
+      if (!task) return;
+      (void)net::sendFrame(fd, ipc::kTypeFleetNeedCase,
+                           encodeFleetNeedCase(crc32("case")));
+      std::optional<ipc::Frame> upload = self.readFrame(fd, rx);
+      uploaded.store(upload && upload->type == ipc::kTypeFleetCase &&
+                     upload->payload == "case");
+      (void)net::sendFrame(fd, resultTypeFor(type),
+                           resultPayload(type, taskEpoch(*task)));
+      self.sleepMs(60000);
+    });
+    AgentPool pool(poolOptions({rogue.spec()}, 10.0));
+    ASSERT_TRUE(assignOne(pool, type).isOk());
+    const Events seen = pollFor(pool, AgentPool::EventKind::kResult);
+    EXPECT_NE(findEvent(seen, AgentPool::EventKind::kUpload), nullptr);
+    const AgentPool::Event* result =
+        findEvent(seen, AgentPool::EventKind::kResult);
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->name, "t1");
+    EXPECT_EQ(peekFleetEpoch(result->payload).value(), result->epoch);
+    EXPECT_TRUE(uploaded.load());
+    EXPECT_TRUE(pool.hasIdlePeer());
+  }
 }
 
 TEST(FleetOptions, InvalidFleetKnobsAreRejectedNotUndefined) {
