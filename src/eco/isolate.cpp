@@ -1,10 +1,10 @@
 #include "eco/isolate.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 #include <sstream>
 
+#include "eco/resume.hpp"
 #include "io/journal_io.hpp"
 #include "util/ipc.hpp"
 #include "util/journal.hpp"
@@ -12,130 +12,6 @@
 namespace syseco {
 
 namespace {
-
-// Sanity ceilings for unbounded-looking counters arriving over IPC. Far
-// above anything a real worker produces; their only job is to keep a
-// corrupted frame from smuggling absurd values into run accounting.
-constexpr std::int64_t kMaxSmallCount = 1000000;
-
-/// Field readers, mirroring journal_io's record extraction: false means
-/// "absent or wrong type/range" and the caller rejects the whole message.
-bool getU64(const JsonValue& obj, const std::string& key, std::uint64_t* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::Number || !v->isInteger ||
-      v->integer < 0)
-    return false;
-  *out = static_cast<std::uint64_t>(v->integer);
-  return true;
-}
-
-bool getU32(const JsonValue& obj, const std::string& key, std::uint32_t* out) {
-  std::uint64_t wide = 0;
-  if (!getU64(obj, key, &wide) || wide > 0xFFFFFFFFull) return false;
-  *out = static_cast<std::uint32_t>(wide);
-  return true;
-}
-
-bool getI64(const JsonValue& obj, const std::string& key, std::int64_t* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::Number || !v->isInteger) return false;
-  *out = v->integer;
-  return true;
-}
-
-bool getDouble(const JsonValue& obj, const std::string& key, double* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::Number ||
-      !std::isfinite(v->number))
-    return false;
-  *out = v->number;
-  return true;
-}
-
-bool getString(const JsonValue& obj, const std::string& key,
-               std::string* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::String) return false;
-  *out = v->str;
-  return true;
-}
-
-bool getBool(const JsonValue& obj, const std::string& key, bool* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::Bool) return false;
-  *out = v->boolean;
-  return true;
-}
-
-/// Array element as an exact u32 (kNullId allowed when `allowNull`).
-bool elemU32(const JsonValue& e, std::uint32_t* out) {
-  if (e.kind != JsonValue::Kind::Number || !e.isInteger || e.integer < 0 ||
-      e.integer > 0xFFFFFFFFll)
-    return false;
-  *out = static_cast<std::uint32_t>(e.integer);
-  return true;
-}
-
-std::optional<OutputRectStatus> rectStatusFromName(std::string_view name) {
-  for (OutputRectStatus s :
-       {OutputRectStatus::kExact, OutputRectStatus::kDegraded,
-        OutputRectStatus::kFallback}) {
-    if (name == outputRectStatusName(s)) return s;
-  }
-  return std::nullopt;
-}
-
-std::optional<StatusCode> statusCodeFromName(std::string_view name) {
-  for (StatusCode c :
-       {StatusCode::kOk, StatusCode::kBudgetExhausted,
-        StatusCode::kDeadlineExceeded, StatusCode::kInvalidInput,
-        StatusCode::kInternal}) {
-    if (name == statusCodeName(c)) return c;
-  }
-  return std::nullopt;
-}
-
-void serializeReportInto(std::ostringstream& os, const OutputReport& r) {
-  os << "{\"output\":" << r.output << ",\"name\":\"" << jsonEscape(r.name)
-     << "\",\"status\":\"" << outputRectStatusName(r.status)
-     << "\",\"limit\":\"" << statusCodeName(r.limit)
-     << "\",\"conflicts_used\":" << r.conflictsUsed
-     << ",\"bdd_nodes_used\":" << r.bddNodesUsed << ",\"seconds\":"
-     << r.seconds << ",\"degrade_steps\":" << r.degradeSteps
-     << ",\"attempts\":" << r.workerFailedAttempts << ",\"exit_cause\":\""
-     << workerExitCauseName(r.workerExitCause) << "\"}";
-}
-
-bool parseReport(const JsonValue& v, const Netlist& base, OutputReport* out) {
-  if (v.kind != JsonValue::Kind::Object) return false;
-  std::string status, limit, exitCause;
-  std::int64_t degradeSteps = 0, attempts = 0;
-  if (!(getU32(v, "output", &out->output) && getString(v, "name", &out->name) &&
-        getString(v, "status", &status) && getString(v, "limit", &limit) &&
-        getI64(v, "conflicts_used", &out->conflictsUsed) &&
-        getI64(v, "bdd_nodes_used", &out->bddNodesUsed) &&
-        getDouble(v, "seconds", &out->seconds) &&
-        getI64(v, "degrade_steps", &degradeSteps) &&
-        getI64(v, "attempts", &attempts) &&
-        getString(v, "exit_cause", &exitCause)))
-    return false;
-  const auto st = rectStatusFromName(status);
-  const auto lim = statusCodeFromName(limit);
-  const auto cause = workerExitCauseFromName(exitCause);
-  if (!st || !lim || !cause) return false;
-  if (out->output >= base.numOutputs()) return false;
-  if (out->name != base.outputName(out->output)) return false;
-  if (out->conflictsUsed < 0 || out->bddNodesUsed < 0) return false;
-  if (out->seconds < 0.0) return false;
-  if (degradeSteps < 0 || degradeSteps > kMaxSmallCount) return false;
-  if (attempts < 0 || attempts > kMaxSmallCount) return false;
-  out->status = *st;
-  out->limit = *lim;
-  out->degradeSteps = static_cast<int>(degradeSteps);
-  out->workerFailedAttempts = static_cast<int>(attempts);
-  out->workerExitCause = *cause;
-  return true;
-}
 
 Status bad(const std::string& what) {
   return Status::invalidInput("worker patch: " + what);
@@ -154,8 +30,8 @@ Result<IsolateTaskRequest> decodeTaskRequest(std::string_view payload) {
   if (!parsed.isOk()) return parsed.status();
   const JsonValue& v = parsed.value();
   IsolateTaskRequest req;
-  if (!getU32(v, "output", &req.output) ||
-      !getI64(v, "attempt", &req.attempt) || req.attempt < 1 ||
+  if (!readU32(v, "output", &req.output) ||
+      !readI64(v, "attempt", &req.attempt) || req.attempt < 1 ||
       req.attempt > kMaxSmallCount)
     return Status::invalidInput("task request: malformed fields");
   return req;
@@ -193,7 +69,7 @@ std::string encodeWorkerPatch(const WorkerPatch& patch) {
      << "," << patch.frag.secondsFallback << "]";
   if (patch.produced && !patch.frag.outputs.empty()) {
     os << ",\"report\":";
-    serializeReportInto(os, patch.frag.outputs.back());
+    serializeReportInto(os, toJournalReport(patch.frag.outputs.back()));
   }
   os << "}";
   return os.str();
@@ -207,9 +83,9 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
   if (v.kind != JsonValue::Kind::Object) return bad("not an object");
 
   WorkerPatch patch;
-  if (!getBool(v, "produced", &patch.produced) ||
-      !getU64(v, "base_gates", &patch.baseGates) ||
-      !getU64(v, "base_nets", &patch.baseNets))
+  if (!readBool(v, "produced", &patch.produced) ||
+      !readU64(v, "base_gates", &patch.baseGates) ||
+      !readU64(v, "base_nets", &patch.baseNets))
     return bad("malformed envelope");
   if (patch.baseGates != base.numGatesTotal() ||
       patch.baseNets != base.numNetsTotal())
@@ -226,7 +102,7 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
     if (item.kind != JsonValue::Kind::Array || item.items.size() < 2)
       return bad("malformed gate entry");
     std::uint32_t typeRaw = 0, out = 0;
-    if (!elemU32(item.items[0], &typeRaw) || !elemU32(item.items[1], &out))
+    if (!jsonU32(item.items[0], &typeRaw) || !jsonU32(item.items[1], &out))
       return bad("malformed gate entry");
     if (typeRaw > static_cast<std::uint32_t>(GateType::Mux))
       return bad("unknown gate type");
@@ -239,7 +115,7 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
     g.fanins.reserve(item.items.size() - 2);
     for (std::size_t f = 2; f < item.items.size(); ++f) {
       std::uint32_t fanin = 0;
-      if (!elemU32(item.items[f], &fanin)) return bad("malformed gate fanin");
+      if (!jsonU32(item.items[f], &fanin)) return bad("malformed gate fanin");
       // Strictly older nets only: keeps the replayed patch acyclic and
       // every remapped fanin id in range.
       if (fanin >= out) return bad("gate fanin from the future");
@@ -264,9 +140,8 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
     if (item.kind != JsonValue::Kind::Array || item.items.size() != 4)
       return bad("malformed rewire entry");
     std::uint32_t f[4];
-    for (int i = 0; i < 4; ++i)
-      if (!elemU32(item.items[static_cast<std::size_t>(i)], &f[i]))
-        return bad("malformed rewire entry");
+    for (std::size_t i = 0; i < 4; ++i)
+      if (!jsonU32(item.items[i], &f[i])) return bad("malformed rewire entry");
     PatchTracker::RewireRecord r{Sink{f[0], f[1]}, f[2], f[3]};
     if (r.oldNet >= totalNets || r.newNet >= totalNets)
       return bad("rewire net id out of range");
@@ -289,12 +164,8 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
       counters->items.size() != 7)
     return bad("malformed counters");
   std::uint64_t c[7];
-  for (int i = 0; i < 7; ++i) {
-    const JsonValue& e = counters->items[static_cast<std::size_t>(i)];
-    if (e.kind != JsonValue::Kind::Number || !e.isInteger || e.integer < 0)
-      return bad("malformed counters");
-    c[i] = static_cast<std::uint64_t>(e.integer);
-  }
+  for (std::size_t i = 0; i < 7; ++i)
+    if (!jsonU64(counters->items[i], &c[i])) return bad("malformed counters");
   patch.frag.outputsRectified = c[0];
   patch.frag.outputsViaRewire = c[1];
   patch.frag.outputsViaFallback = c[2];
@@ -308,13 +179,9 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
       seconds->items.size() != 5)
     return bad("malformed seconds");
   double s[5];
-  for (int i = 0; i < 5; ++i) {
-    const JsonValue& e = seconds->items[static_cast<std::size_t>(i)];
-    if (e.kind != JsonValue::Kind::Number || !std::isfinite(e.number) ||
-        e.number < 0.0)
+  for (std::size_t i = 0; i < 5; ++i)
+    if (!jsonDouble(seconds->items[i], &s[i]) || s[i] < 0.0)
       return bad("malformed seconds");
-    s[i] = e.number;
-  }
   patch.frag.secondsSampling = s[0];
   patch.frag.secondsSymbolic = s[1];
   patch.frag.secondsScreening = s[2];
@@ -322,11 +189,15 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
   patch.frag.secondsFallback = s[4];
 
   if (patch.produced) {
+    // A worker always sends the isolation fields a journal may omit.
     const JsonValue* report = v.find("report");
-    OutputReport r;
-    if (!report || !parseReport(*report, base, &r))
+    JournalOutputReport j;
+    if (!report || !report->find("attempts") || !report->find("exit_cause") ||
+        !parseReport(*report, &j))
       return bad("malformed report");
-    patch.frag.outputs.push_back(std::move(r));
+    std::optional<OutputReport> r = fromJournalReport(j, base);
+    if (!r) return bad("malformed report");
+    patch.frag.outputs.push_back(std::move(*r));
   }
   return patch;
 }
@@ -339,26 +210,10 @@ Status badFleet(const std::string& what) {
   return Status::invalidInput("fleet payload: " + what);
 }
 
-/// uint64 carried as a decimal string: the journal idiom for values (seed,
-/// epoch) that may not fit a JSON int64.
+/// uint64 carried as a decimal string (read back by readU64String): the
+/// journal idiom for values (seed, epoch) that may not fit a JSON int64.
 void putU64String(std::ostringstream& os, std::uint64_t v) {
   os << '"' << v << '"';
-}
-
-bool getU64String(const JsonValue& obj, const std::string& key,
-                  std::uint64_t* out) {
-  std::string text;
-  if (!getString(obj, key, &text) || text.empty() || text.size() > 20)
-    return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (0xFFFFFFFFFFFFFFFFull - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -380,12 +235,12 @@ Result<FleetTaskRequest> decodeFleetTaskRequest(std::string_view payload) {
   const JsonValue& v = parsed.value();
   if (v.kind != JsonValue::Kind::Object) return badFleet("not an object");
   FleetTaskRequest req;
-  if (!getU32(v, "output", &req.output) ||
-      !getI64(v, "attempt", &req.attempt) || req.attempt < 1 ||
+  if (!readU32(v, "output", &req.output) ||
+      !readI64(v, "attempt", &req.attempt) || req.attempt < 1 ||
       req.attempt > kMaxSmallCount ||
-      !getU64String(v, "epoch", &req.epoch) ||
-      !getDouble(v, "lease_seconds", &req.leaseSeconds) ||
-      req.leaseSeconds <= 0.0 || !getU32(v, "case_crc", &req.caseCrc))
+      !readU64String(v, "epoch", &req.epoch) ||
+      !readDouble(v, "lease_seconds", &req.leaseSeconds) ||
+      req.leaseSeconds <= 0.0 || !readU32(v, "case_crc", &req.caseCrc))
     return badFleet("malformed task request");
   return req;
 }
@@ -428,7 +283,7 @@ Result<FleetCase> decodeFleetCase(std::string_view payload) {
   if (v.kind != JsonValue::Kind::Object) return badFleet("not an object");
 
   std::string implDump, specDump;
-  if (!getString(v, "impl", &implDump) || !getString(v, "spec", &specDump))
+  if (!readString(v, "impl", &implDump) || !readString(v, "spec", &specDump))
     return badFleet("missing netlist snapshots");
   Result<Netlist> base = Netlist::restoreRawString(implDump);
   if (!base.isOk())
@@ -445,21 +300,21 @@ Result<FleetCase> decodeFleetCase(std::string_view payload) {
   std::uint64_t samples = 0, pins = 0, nets = 0, sets = 0, choices = 0,
                 bddLimit = 0;
   std::int64_t points = 0, refine = 0;
-  if (!(getU64(*opts, "samples", &samples) &&
-        getI64(*opts, "points", &points) && getU64(*opts, "pins", &pins) &&
-        getU64(*opts, "nets", &nets) && getU64(*opts, "sets", &sets) &&
-        getU64(*opts, "choices", &choices) &&
-        getI64(*opts, "refine", &refine) &&
-        getI64(*opts, "vbudget", &o.validationBudget) &&
-        getI64(*opts, "sbudget", &o.samplingBudget) &&
-        getU64(*opts, "bddlimit", &bddLimit) &&
-        getBool(*opts, "errsample", &o.useErrorDomainSampling) &&
-        getBool(*opts, "utility", &o.useUtilityHeuristic) &&
-        getBool(*opts, "trivial", &o.includeTrivialCandidate) &&
-        getBool(*opts, "sweep", &o.enableSweeping) &&
-        getBool(*opts, "synth", &o.synthesizeFunctions) &&
-        getBool(*opts, "level", &o.levelDriven) &&
-        getU64String(*opts, "seed", &o.seed)))
+  if (!(readU64(*opts, "samples", &samples) &&
+        readI64(*opts, "points", &points) && readU64(*opts, "pins", &pins) &&
+        readU64(*opts, "nets", &nets) && readU64(*opts, "sets", &sets) &&
+        readU64(*opts, "choices", &choices) &&
+        readI64(*opts, "refine", &refine) &&
+        readI64(*opts, "vbudget", &o.validationBudget) &&
+        readI64(*opts, "sbudget", &o.samplingBudget) &&
+        readU64(*opts, "bddlimit", &bddLimit) &&
+        readBool(*opts, "errsample", &o.useErrorDomainSampling) &&
+        readBool(*opts, "utility", &o.useUtilityHeuristic) &&
+        readBool(*opts, "trivial", &o.includeTrivialCandidate) &&
+        readBool(*opts, "sweep", &o.enableSweeping) &&
+        readBool(*opts, "synth", &o.synthesizeFunctions) &&
+        readBool(*opts, "level", &o.levelDriven) &&
+        readU64String(*opts, "seed", &o.seed)))
     return badFleet("malformed options");
   if (points < 1 || points > kMaxSmallCount || refine < 0 ||
       refine > kMaxSmallCount)
@@ -483,7 +338,7 @@ Result<FleetCase> decodeFleetCase(std::string_view payload) {
   out.protect.reserve(protect->items.size());
   for (const JsonValue& item : protect->items) {
     std::uint32_t idx = 0;
-    if (!elemU32(item, &idx) || idx >= base.value().numOutputs())
+    if (!jsonU32(item, &idx) || idx >= base.value().numOutputs())
       return badFleet("protect entry out of range");
     out.protect.push_back(idx);
   }
@@ -503,7 +358,7 @@ Result<std::uint32_t> decodeFleetNeedCase(std::string_view payload) {
   if (!parsed.isOk()) return parsed.status();
   std::uint32_t crc = 0;
   if (parsed.value().kind != JsonValue::Kind::Object ||
-      !getU32(parsed.value(), "case_crc", &crc))
+      !readU32(parsed.value(), "case_crc", &crc))
     return badFleet("malformed need-case");
   return crc;
 }
@@ -521,7 +376,7 @@ Result<std::uint64_t> decodeFleetHeartbeat(std::string_view payload) {
   if (!parsed.isOk()) return parsed.status();
   std::uint64_t epoch = 0;
   if (parsed.value().kind != JsonValue::Kind::Object ||
-      !getU64String(parsed.value(), "epoch", &epoch))
+      !readU64String(parsed.value(), "epoch", &epoch))
     return badFleet("malformed heartbeat");
   return epoch;
 }
@@ -544,7 +399,7 @@ Result<std::uint64_t> peekFleetEpoch(std::string_view payload) {
   if (!parsed.isOk()) return parsed.status();
   std::uint64_t epoch = 0;
   if (parsed.value().kind != JsonValue::Kind::Object ||
-      !getU64String(parsed.value(), "epoch", &epoch))
+      !readU64String(parsed.value(), "epoch", &epoch))
     return badFleet("missing epoch");
   return epoch;
 }
@@ -564,9 +419,9 @@ Result<FleetFailure> decodeFleetFailure(std::string_view payload) {
   const JsonValue& v = parsed.value();
   FleetFailure f;
   if (v.kind != JsonValue::Kind::Object ||
-      !getU64String(v, "epoch", &f.epoch) ||
-      !getString(v, "cause", &f.cause) ||
-      !getString(v, "detail", &f.detail) ||
+      !readU64String(v, "epoch", &f.epoch) ||
+      !readString(v, "cause", &f.cause) ||
+      !readString(v, "detail", &f.detail) ||
       !workerExitCauseFromName(f.cause))
     return badFleet("malformed failure");
   if (f.detail.size() > 4096) f.detail.resize(4096);
@@ -611,13 +466,13 @@ Result<FleetCaseTask> decodeFleetCaseTask(std::string_view payload) {
   const JsonValue& v = parsed.value();
   if (v.kind != JsonValue::Kind::Object) return badFleet("not an object");
   FleetCaseTask task;
-  if (!getString(v, "name", &task.name) || !validFleetCaseName(task.name) ||
-      !getU32(v, "case_crc", &task.caseCrc) ||
-      !getU64String(v, "epoch", &task.epoch) ||
-      !getDouble(v, "lease_seconds", &task.leaseSeconds) ||
-      task.leaseSeconds <= 0.0 || !getU32(v, "jobs", &task.jobs) ||
-      task.jobs < 1 || task.jobs > 256 ||
-      !getI64(v, "attempt", &task.attempt) || task.attempt < 1 ||
+  if (!readString(v, "name", &task.name) || !validFleetCaseName(task.name) ||
+      !readU32(v, "case_crc", &task.caseCrc) ||
+      !readU64String(v, "epoch", &task.epoch) ||
+      !readDouble(v, "lease_seconds", &task.leaseSeconds) ||
+      task.leaseSeconds <= 0.0 || !readU32(v, "jobs", &task.jobs) ||
+      task.jobs < 1 || task.jobs > kMaxCaseJobs ||
+      !readI64(v, "attempt", &task.attempt) || task.attempt < 1 ||
       task.attempt > kMaxSmallCount)
     return badFleet("malformed case task");
   return task;
@@ -643,14 +498,14 @@ Result<FleetCaseResult> decodeFleetCaseResult(std::string_view payload) {
   if (v.kind != JsonValue::Kind::Object) return badFleet("not an object");
   FleetCaseResult r;
   std::int64_t exitCode = 0;
-  if (!getU64String(v, "epoch", &r.epoch) ||
-      !getI64(v, "exit_code", &exitCode) || exitCode < 0 || exitCode > 255 ||
-      !getString(v, "report", &r.report) ||
-      !getString(v, "verdicts", &r.verdicts) ||
-      !getString(v, "netlist", &r.netlist) ||
-      !getU64(v, "cache_hits", &r.cacheHits) ||
-      !getU64(v, "cache_misses", &r.cacheMisses) ||
-      !getU64(v, "cache_evictions", &r.cacheEvictions))
+  if (!readU64String(v, "epoch", &r.epoch) ||
+      !readI64(v, "exit_code", &exitCode) || exitCode < 0 || exitCode > 255 ||
+      !readString(v, "report", &r.report) ||
+      !readString(v, "verdicts", &r.verdicts) ||
+      !readString(v, "netlist", &r.netlist) ||
+      !readU64(v, "cache_hits", &r.cacheHits) ||
+      !readU64(v, "cache_misses", &r.cacheMisses) ||
+      !readU64(v, "cache_evictions", &r.cacheEvictions))
     return badFleet("malformed case result");
   r.exitCode = static_cast<int>(exitCode);
   if (r.report.size() > kMaxCaseTextBytes ||
@@ -669,7 +524,7 @@ Result<FleetCaseResult> decodeFleetCaseResult(std::string_view payload) {
     Result<JsonValue> ver = parseJson(r.verdicts);
     std::string type;
     if (!ver.isOk() || ver.value().kind != JsonValue::Kind::Object ||
-        !getString(ver.value(), "type", &type) || type != "verdicts")
+        !readString(ver.value(), "type", &type) || type != "verdicts")
       return badFleet("malformed verdicts record");
   }
   // The netlist snapshot is validated by the caller via restoreRawString

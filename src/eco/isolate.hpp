@@ -157,6 +157,10 @@ Result<FleetFailure> decodeFleetFailure(std::string_view payload);
 /// 1..64 chars of [A-Za-z0-9._-], not starting with '.'.
 bool validFleetCaseName(std::string_view name);
 
+/// Per-case engine parallelism ceiling (--jobs), shared by the case-task
+/// wire contract, the serve submit codec and the batch manifest parser.
+inline constexpr std::int64_t kMaxCaseJobs = 256;
+
 /// Supervisor -> agent: run one whole case. `jobs` is the agent-local
 /// per-output parallelism (the engine's --jobs), part of the wire contract
 /// because verdicts must be bit-identical to a local `--jobs N` run.

@@ -11,26 +11,6 @@
 
 namespace syseco {
 
-namespace {
-
-std::optional<StatusCode> statusCodeFromName(const std::string& name) {
-  for (StatusCode c : {StatusCode::kOk, StatusCode::kBudgetExhausted,
-                       StatusCode::kDeadlineExceeded, StatusCode::kInvalidInput,
-                       StatusCode::kInternal}) {
-    if (name == statusCodeName(c)) return c;
-  }
-  return std::nullopt;
-}
-
-std::optional<OutputRectStatus> rectStatusFromName(const std::string& name) {
-  for (OutputRectStatus s :
-       {OutputRectStatus::kExact, OutputRectStatus::kDegraded,
-        OutputRectStatus::kFallback}) {
-    if (name == outputRectStatusName(s)) return s;
-  }
-  return std::nullopt;
-}
-
 JournalOutputReport toJournalReport(const OutputReport& r) {
   JournalOutputReport j;
   j.output = r.output;
@@ -46,18 +26,19 @@ JournalOutputReport toJournalReport(const OutputReport& r) {
   return j;
 }
 
-/// Inverse of toJournalReport; nullopt when a name does not map back (a
-/// record from a newer schema, or tampering).
 std::optional<OutputReport> fromJournalReport(const JournalOutputReport& j,
                                               const Netlist& impl) {
-  const auto status = rectStatusFromName(j.status);
+  const auto status = outputRectStatusFromName(j.status);
   const auto limit = statusCodeFromName(j.limit);
   const auto exitCause = workerExitCauseFromName(j.exitCause);
   if (!status || !limit || !exitCause) return std::nullopt;
   if (j.output >= impl.numOutputs()) return std::nullopt;
   if (j.name != impl.outputName(j.output)) return std::nullopt;
-  if (j.degradeSteps < 0 || j.degradeSteps > 1000000) return std::nullopt;
-  if (j.attempts < 0 || j.attempts > 1000000) return std::nullopt;
+  if (j.conflictsUsed < 0 || j.bddNodesUsed < 0 || j.seconds < 0.0)
+    return std::nullopt;
+  if (j.degradeSteps < 0 || j.degradeSteps > kMaxSmallCount)
+    return std::nullopt;
+  if (j.attempts < 0 || j.attempts > kMaxSmallCount) return std::nullopt;
   OutputReport r;
   r.output = j.output;
   r.name = j.name;
@@ -71,6 +52,8 @@ std::optional<OutputReport> fromJournalReport(const JournalOutputReport& j,
   r.workerExitCause = *exitCause;
   return r;
 }
+
+namespace {
 
 /// Structural validation + independent SAT re-certification of one output
 /// record. Returns the reason for demotion, or nullopt and fills `out`.

@@ -11,6 +11,7 @@
 // stale journal therefore costs time, never correctness.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,18 @@ Result<ResumeOutcome> prepareResume(const Netlist& impl, const Netlist& spec,
                                     const JournalContents& journal);
 
 // --- Record builders (engine hook -> journal payload structs) -------------
+
+/// The one mapping between an engine OutputReport and its record form,
+/// shared by journal checkpoints and worker patches.
+JournalOutputReport toJournalReport(const OutputReport& r);
+
+/// Inverse of toJournalReport, with every range check a report arriving
+/// from outside must pass: known status/limit/exit-cause names, a real
+/// output of `impl` under its own name, non-negative counters and seconds,
+/// and degrade steps and attempts within kMaxSmallCount. nullopt otherwise
+/// (a record from a newer schema, corruption or tampering).
+std::optional<OutputReport> fromJournalReport(const JournalOutputReport& j,
+                                              const Netlist& impl);
 
 JournalRunStart makeRunStartRecord(const Netlist& impl, const Netlist& spec,
                                    const SysecoOptions& options,

@@ -26,7 +26,6 @@
 #include "eco/isolate.hpp"
 #include "eco/matching.hpp"
 #include "eco/sampling.hpp"
-#include "eco/sharpsat.hpp"
 #include "netlist/analysis.hpp"
 #include "util/budget.hpp"
 #include "util/build_info.hpp"
@@ -95,7 +94,6 @@ struct PinCandidate {
 struct NetCandidate {
   NetId net = kNullId;   ///< net in W, or in the spec when fromSpec
   bool fromSpec = false;
-  double utility = 0.0;  ///< error-domain difference ratio (§4.3)
   std::uint32_t level = 0;
   std::uint32_t cloneCost = 0;   ///< approx. gates a spec clone would add
   std::ptrdiff_t rankScore = 0;  ///< balanced sample-agreement key
@@ -2508,21 +2506,12 @@ class Engine {
       const std::vector<std::uint32_t>& specLevels,
       const std::vector<NetId>& specCone, std::uint32_t o) {
     Netlist& w = working();
-    const std::size_t errCount = std::max<std::size_t>(countBits(errMask), 1);
     const Signature& pinSig = wSim.value(pin.driver);
 
-    // §4.3 rectification utility: difference ratio on the error domain.
-    auto utilityOf = [&](const Signature& candSig) {
-      std::size_t diff = 0;
-      for (std::size_t wd = 0; wd < errMask.size(); ++wd)
-        diff += static_cast<std::size_t>(
-            std::popcount((pinSig[wd] ^ candSig[wd]) & errMask[wd]));
-      return static_cast<double>(diff) / static_cast<double>(errCount);
-    };
-    // Ranking refinement: differing on error samples helps, differing on
-    // already-correct samples risks breaking them - but only where this
-    // point is observable at all. (The paper's heuristic uses only the
-    // error-domain ratio; Xi(c) still decides exactly.)
+    // §4.3 rectification utility: differing on error samples helps,
+    // differing on already-correct samples risks breaking them - but only
+    // where this point is observable at all. (The paper's heuristic uses
+    // only the error-domain ratio; Xi(c) still decides exactly.)
     auto agreementOf = [&](const Signature& candSig) {
       std::ptrdiff_t key = 0;
       for (std::size_t wd = 0; wd < errMask.size(); ++wd) {
@@ -2564,20 +2553,16 @@ class Engine {
       if (!wSupports.subsetOf(n, specOutMask)) continue;
       // Signatures are filled in only for survivors (copying one per net
       // over the whole netlist would dominate the attempt's cost).
-      ranked.push_back(NetCandidate{n, false, utilityOf(wSim.value(n)),
-                                    wLevels[n], 0,
-                                    agreementOf(wSim.value(n)),
-                                    {}});
+      ranked.push_back(NetCandidate{n, false, wLevels[n], 0,
+                                    agreementOf(wSim.value(n)), {}});
     }
     // Candidates from the synthesized specification's cone. Reusing a spec
     // net means instantiating its clone, so its approximate cone size
     // participates in the ranking: small revision logic (the injected delta
     // region) beats wholesale cone copies of equal utility.
     for (NetId n : specCone) {
-      ranked.push_back(NetCandidate{n, true, utilityOf(sSim.value(n)),
-                                    specLevels[n], cloneCostDp_[n],
-                                    agreementOf(sSim.value(n)),
-                                    {}});
+      ranked.push_back(NetCandidate{n, true, specLevels[n], cloneCostDp_[n],
+                                    agreementOf(sSim.value(n)), {}});
     }
 
     if (opt_.useUtilityHeuristic) {
@@ -2601,36 +2586,6 @@ class Engine {
       ranked.resize(opt_.maxRewireNets + 12);  // margin for synthesis basis
     for (NetCandidate& c : ranked)
       c.sig = c.fromSpec ? sSim.value(c.net) : wSim.value(c.net);
-
-    // #SAT re-ranking: the popcount key above is the cheap prefilter over
-    // the full netlist scan; the shortlist that validation will actually
-    // try is re-scored by exact model counting over the sampling domain
-    // (satisfying fraction of diff & E, see sharpsat.hpp). The counts are
-    // exactly the popcounts, so the re-sort provably reproduces the
-    // prefilter order - kSharpSat changes measurements, not verdicts.
-    std::optional<SharpSatRanker> sharp;
-    if (opt_.rankMode == RankMode::kSharpSat) {
-      sharp.emplace(pinSig, errMask, correctMask, pin.obsFullMask);
-      for (NetCandidate& c : ranked) {
-        const CoverageScore s = sharp->score(c.sig);
-        c.utility = s.errorCoverage;
-        c.rankScore = s.rankKey;
-      }
-      if (opt_.useUtilityHeuristic) {
-        auto rankKey = [&](const NetCandidate& c) {
-          return static_cast<double>(c.rankScore) -
-                 0.02 * static_cast<double>(std::min<std::uint32_t>(
-                            c.cloneCost, 500));
-        };
-        std::stable_sort(ranked.begin(), ranked.end(),
-                         [&](const NetCandidate& a, const NetCandidate& b) {
-                           const double ka = rankKey(a), kb = rankKey(b);
-                           if (opt_.levelDriven && std::abs(ka - kb) < 1e-9)
-                             return a.level < b.level;
-                           return ka > kb;
-                         });
-      }
-    }
 
     // Rectification function synthesis (extension of the paper's "future
     // work ... rectification logic synthesis"): when no existing net
@@ -2667,14 +2622,7 @@ class Engine {
             synthesizeCandidates(pin, pinSig, ranked, required, careMask,
                                  forbidden, wLevels, scanLimit);
         for (NetCandidate& c : synth) {
-          if (sharp) {
-            const CoverageScore s = sharp->score(c.sig);
-            c.utility = s.errorCoverage;
-            c.rankScore = s.rankKey;
-          } else {
-            c.utility = utilityOf(c.sig);
-            c.rankScore = agreementOf(c.sig);
-          }
+          c.rankScore = agreementOf(c.sig);
           // Synthesized exact matches outrank everything; put them first.
           ranked.insert(ranked.begin(), std::move(c));
         }
@@ -2685,8 +2633,8 @@ class Engine {
     // Index 0 is the trivial candidate: the pin keeps its driver (needed
     // because H(t) may over-approximate the number of points, §5.2).
     if (opt_.includeTrivialCandidate) {
-      out.push_back(NetCandidate{pin.driver, false, 0.0,
-                                 wLevels[pin.driver], 0, 0, pinSig});
+      out.push_back(
+          NetCandidate{pin.driver, false, wLevels[pin.driver], 0, 0, pinSig});
     }
     for (const NetCandidate& c : ranked) {
       if (out.size() >= opt_.maxRewireNets) break;

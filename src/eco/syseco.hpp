@@ -78,17 +78,6 @@ struct ResumePlan {
   Netlist base;
 };
 
-/// How candidate rewiring nets are ranked before validation (§4.3).
-///  * kSharpSat: measured error-domain coverage - the satisfying fraction
-///    of each candidate's signature difference restricted to the error
-///    domain, computed by #SAT (Bdd::satCount) over the sampling-domain
-///    functions. Order-equivalent to kStructural on complete signatures
-///    (the fractions are the same measure the word-level heuristic
-///    approximates), so the default changes no verdicts; it also surfaces
-///    the measured fractions for diagnostics.
-///  * kStructural: the legacy word-level popcount heuristic.
-enum class RankMode : std::uint8_t { kStructural = 0, kSharpSat = 1 };
-
 /// Minato-Morreale ISOP patch minimization in the sweep phase.
 ///  * kAuto: follow bddReorder - on unless the engine runs in its legacy
 ///    bit-identical mode (bddReorder == kOff).
@@ -119,7 +108,6 @@ struct SysecoOptions {
   BddReorder bddReorder = BddReorder::kSift;
   std::uint32_t bddCacheBits = 0;       ///< computed-cache 2^bits; 0 = default
   std::size_t bddReorderThreshold = 0;  ///< auto-reorder arm point; 0 = default
-  RankMode rankMode = RankMode::kSharpSat;
   PatchMinimize minimizePatch = PatchMinimize::kAuto;
 
   bool useErrorDomainSampling = true;  ///< ablation B: error vs uniform
@@ -272,6 +260,17 @@ inline const char* outputRectStatusName(OutputRectStatus s) {
     case OutputRectStatus::kFallback: return "fallback";
   }
   return "unknown";
+}
+
+/// Inverse of outputRectStatusName; nullopt for names from a newer schema.
+inline std::optional<OutputRectStatus> outputRectStatusFromName(
+    std::string_view name) {
+  for (OutputRectStatus s :
+       {OutputRectStatus::kExact, OutputRectStatus::kDegraded,
+        OutputRectStatus::kFallback}) {
+    if (name == outputRectStatusName(s)) return s;
+  }
+  return std::nullopt;
 }
 
 /// How a rectification worker (in-process thread or isolated subprocess)

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -241,7 +242,7 @@ class JsonParser {
 
 }  // namespace
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind != Kind::Object) return nullptr;
   for (const auto& [k, v] : members)
     if (k == key) return &v;
@@ -252,153 +253,197 @@ Result<JsonValue> parseJson(std::string_view text) {
   return JsonParser(text).parse();
 }
 
-// --- Record extraction ----------------------------------------------------
+// --- Checked field readers ------------------------------------------------
 
-namespace {
-
-/// Field readers: false means "absent or wrong type/range" - the caller
-/// drops the whole record with a diagnostic rather than guessing.
-bool getU64(const JsonValue& obj, const std::string& key, std::uint64_t* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::Number || !v->isInteger ||
-      v->integer < 0)
+bool jsonU64(const JsonValue& v, std::uint64_t* out) {
+  if (v.kind != JsonValue::Kind::Number || !v.isInteger || v.integer < 0)
     return false;
-  *out = static_cast<std::uint64_t>(v->integer);
+  *out = static_cast<std::uint64_t>(v.integer);
   return true;
 }
 
-bool getU32(const JsonValue& obj, const std::string& key, std::uint32_t* out) {
+bool jsonU32(const JsonValue& v, std::uint32_t* out) {
   std::uint64_t wide = 0;
-  if (!getU64(obj, key, &wide) || wide > 0xFFFFFFFFull) return false;
+  if (!jsonU64(v, &wide) || wide > 0xFFFFFFFFull) return false;
   *out = static_cast<std::uint32_t>(wide);
   return true;
 }
 
-/// Full-range uint64 carried as a decimal JSON *string* (a JSON number
-/// would be clipped at int64 range by the parser; seeds use all 64 bits).
-/// A plain in-range integer is also accepted.
-bool getU64Wide(const JsonValue& obj, const std::string& key,
-                std::uint64_t* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v) return false;
-  if (v->kind == JsonValue::Kind::Number) return getU64(obj, key, out);
-  if (v->kind != JsonValue::Kind::String || v->str.empty() ||
-      v->str.size() > 20)
+bool jsonDouble(const JsonValue& v, double* out) {
+  if (v.kind != JsonValue::Kind::Number || !std::isfinite(v.number))
+    return false;
+  *out = v.number;
+  return true;
+}
+
+namespace {
+
+bool jsonI64(const JsonValue& v, std::int64_t* out) {
+  if (v.kind != JsonValue::Kind::Number || !v.isInteger) return false;
+  *out = v.integer;
+  return true;
+}
+
+bool jsonString(const JsonValue& v, std::string* out) {
+  if (v.kind != JsonValue::Kind::String) return false;
+  *out = v.str;
+  return true;
+}
+
+bool jsonBool(const JsonValue& v, bool* out) {
+  if (v.kind != JsonValue::Kind::Bool) return false;
+  *out = v.boolean;
+  return true;
+}
+
+bool jsonU64String(const JsonValue& v, std::uint64_t* out) {
+  if (v.kind != JsonValue::Kind::String || v.str.empty() ||
+      v.str.size() > 20 || (v.str.size() > 1 && v.str[0] == '0'))
     return false;
   std::uint64_t value = 0;
-  for (char c : v->str) {
+  for (char c : v.str) {
     if (c < '0' || c > '9') return false;
     const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
     if (value > (UINT64_MAX - digit) / 10) return false;
     value = value * 10 + digit;
   }
-  if (v->str.size() > 1 && v->str[0] == '0') return false;
   *out = value;
   return true;
 }
 
-bool getI64(const JsonValue& obj, const std::string& key, std::int64_t* out) {
+template <typename T>
+bool readMember(const JsonValue& obj, std::string_view key, T* out,
+                JsonKey presence, bool (*read)(const JsonValue&, T*)) {
   const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::Number || !v->isInteger) return false;
-  *out = v->integer;
-  return true;
+  if (v == nullptr) return presence == JsonKey::kOptional;
+  return read(*v, out);
 }
 
-bool getDouble(const JsonValue& obj, const std::string& key, double* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::Number) return false;
-  *out = v->number;
-  return true;
+}  // namespace
+
+bool readU32(const JsonValue& obj, std::string_view key, std::uint32_t* out,
+             JsonKey presence) {
+  return readMember(obj, key, out, presence, jsonU32);
 }
 
-bool getString(const JsonValue& obj, const std::string& key,
-               std::string* out) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::Kind::String) return false;
-  *out = v->str;
-  return true;
+bool readU64(const JsonValue& obj, std::string_view key, std::uint64_t* out,
+             JsonKey presence) {
+  return readMember(obj, key, out, presence, jsonU64);
+}
+
+bool readI64(const JsonValue& obj, std::string_view key, std::int64_t* out,
+             JsonKey presence) {
+  return readMember(obj, key, out, presence, jsonI64);
+}
+
+bool readDouble(const JsonValue& obj, std::string_view key, double* out,
+                JsonKey presence) {
+  return readMember(obj, key, out, presence, jsonDouble);
+}
+
+bool readString(const JsonValue& obj, std::string_view key, std::string* out,
+                JsonKey presence) {
+  return readMember(obj, key, out, presence, jsonString);
+}
+
+bool readBool(const JsonValue& obj, std::string_view key, bool* out,
+              JsonKey presence) {
+  return readMember(obj, key, out, presence, jsonBool);
+}
+
+bool readU64String(const JsonValue& obj, std::string_view key,
+                   std::uint64_t* out, JsonKey presence) {
+  return readMember(obj, key, out, presence, jsonU64String);
+}
+
+// --- Record extraction ----------------------------------------------------
+
+void serializeReportInto(std::ostream& os, const JournalOutputReport& r) {
+  os << "{\"output\":" << r.output << ",\"name\":\"" << jsonEscape(r.name)
+     << "\",\"status\":\"" << jsonEscape(r.status) << "\",\"limit\":\""
+     << jsonEscape(r.limit) << "\",\"conflicts_used\":" << r.conflictsUsed
+     << ",\"bdd_nodes_used\":" << r.bddNodesUsed << ",\"seconds\":"
+     << r.seconds << ",\"degrade_steps\":" << r.degradeSteps
+     << ",\"attempts\":" << r.attempts << ",\"exit_cause\":\""
+     << jsonEscape(r.exitCause) << "\"}";
 }
 
 bool parseReport(const JsonValue& v, JournalOutputReport* out) {
   if (v.kind != JsonValue::Kind::Object) return false;
-  if (!(getU32(v, "output", &out->output) &&
-        getString(v, "name", &out->name) &&
-        getString(v, "status", &out->status) &&
-        getString(v, "limit", &out->limit) &&
-        getI64(v, "conflicts_used", &out->conflictsUsed) &&
-        getI64(v, "bdd_nodes_used", &out->bddNodesUsed) &&
-        getDouble(v, "seconds", &out->seconds) &&
-        getI64(v, "degrade_steps", &out->degradeSteps)))
-    return false;
   // Isolation fields arrived after schema v1 shipped; absent keys default
   // (pre-isolation journals stay adoptable), present-but-malformed ones
   // still drop the record.
-  if (v.find("attempts") && !getI64(v, "attempts", &out->attempts))
-    return false;
-  if (v.find("exit_cause") && !getString(v, "exit_cause", &out->exitCause))
-    return false;
+  return readU32(v, "output", &out->output) &&
+         readString(v, "name", &out->name) &&
+         readString(v, "status", &out->status) &&
+         readString(v, "limit", &out->limit) &&
+         readI64(v, "conflicts_used", &out->conflictsUsed) &&
+         readI64(v, "bdd_nodes_used", &out->bddNodesUsed) &&
+         readDouble(v, "seconds", &out->seconds) &&
+         readI64(v, "degrade_steps", &out->degradeSteps) &&
+         readI64(v, "attempts", &out->attempts, JsonKey::kOptional) &&
+         readString(v, "exit_cause", &out->exitCause, JsonKey::kOptional);
+}
+
+namespace {
+
+/// Seeds ride as decimal strings; a plain in-range integer is also
+/// accepted.
+bool readSeed(const JsonValue& obj, std::string_view key, std::uint64_t* out) {
+  return readU64(obj, key, out) || readU64String(obj, key, out);
+}
+
+/// An array of `width`-wide u32 tuples (tracker rewires, clone cache).
+template <std::size_t width, typename Push>
+bool readU32Tuples(const JsonValue& obj, std::string_view key, Push push) {
+  const JsonValue* list = obj.find(key);
+  if (!list || list->kind != JsonValue::Kind::Array) return false;
+  for (const JsonValue& item : list->items) {
+    if (item.kind != JsonValue::Kind::Array || item.items.size() != width)
+      return false;
+    std::uint32_t f[width];
+    for (std::size_t i = 0; i < width; ++i)
+      if (!jsonU32(item.items[i], &f[i])) return false;
+    push(f);
+  }
   return true;
 }
 
 bool parseRunStart(const JsonValue& v, JournalRunStart* out) {
-  if (!getU32(v, "version", &out->version) ||
-      !getString(v, "engine", &out->engine) ||
-      !getU32(v, "impl_crc", &out->implCrc) ||
-      !getU32(v, "spec_crc", &out->specCrc) ||
-      !getString(v, "options", &out->optionsFingerprint) ||
-      !getU64Wide(v, "seed", &out->seed) ||
-      !getU64(v, "failing_outputs", &out->failingOutputsBefore))
+  if (!readU32(v, "version", &out->version) ||
+      !readString(v, "engine", &out->engine) ||
+      !readU32(v, "impl_crc", &out->implCrc) ||
+      !readU32(v, "spec_crc", &out->specCrc) ||
+      !readString(v, "options", &out->optionsFingerprint) ||
+      !readSeed(v, "seed", &out->seed) ||
+      !readU64(v, "failing_outputs", &out->failingOutputsBefore))
     return false;
   const JsonValue* order = v.find("order");
   if (!order || order->kind != JsonValue::Kind::Array) return false;
   out->order.clear();
   for (const JsonValue& item : order->items) {
-    if (item.kind != JsonValue::Kind::Number || !item.isInteger ||
-        item.integer < 0 || item.integer > 0xFFFFFFFFll)
-      return false;
-    out->order.push_back(static_cast<std::uint32_t>(item.integer));
+    std::uint32_t o = 0;
+    if (!jsonU32(item, &o)) return false;
+    out->order.push_back(o);
   }
   return true;
 }
 
 bool parseTracker(const JsonValue& v, JournalTrackerState* out) {
   if (v.kind != JsonValue::Kind::Object) return false;
-  if (!getU64(v, "base_gates", &out->baseGates) ||
-      !getU64(v, "base_nets", &out->baseNets))
+  if (!readU64(v, "base_gates", &out->baseGates) ||
+      !readU64(v, "base_nets", &out->baseNets))
     return false;
-  const JsonValue* rewires = v.find("rewires");
-  if (!rewires || rewires->kind != JsonValue::Kind::Array) return false;
   out->rewires.clear();
-  for (const JsonValue& item : rewires->items) {
-    if (item.kind != JsonValue::Kind::Array || item.items.size() != 4)
-      return false;
-    std::uint32_t f[4];
-    for (int i = 0; i < 4; ++i) {
-      const JsonValue& e = item.items[static_cast<std::size_t>(i)];
-      if (e.kind != JsonValue::Kind::Number || !e.isInteger ||
-          e.integer < 0 || e.integer > 0xFFFFFFFFll)
-        return false;
-      f[i] = static_cast<std::uint32_t>(e.integer);
-    }
-    out->rewires.push_back(JournalRewire{f[0], f[1], f[2], f[3]});
-  }
-  const JsonValue* cache = v.find("clone_cache");
-  if (!cache || cache->kind != JsonValue::Kind::Array) return false;
   out->cloneCache.clear();
-  for (const JsonValue& item : cache->items) {
-    if (item.kind != JsonValue::Kind::Array || item.items.size() != 2)
-      return false;
-    std::uint32_t f[2];
-    for (int i = 0; i < 2; ++i) {
-      const JsonValue& e = item.items[static_cast<std::size_t>(i)];
-      if (e.kind != JsonValue::Kind::Number || !e.isInteger ||
-          e.integer < 0 || e.integer > 0xFFFFFFFFll)
-        return false;
-      f[i] = static_cast<std::uint32_t>(e.integer);
-    }
-    out->cloneCache.emplace_back(f[0], f[1]);
-  }
-  return true;
+  return readU32Tuples<4>(v, "rewires",
+                          [&](const std::uint32_t* f) {
+                            out->rewires.push_back(
+                                JournalRewire{f[0], f[1], f[2], f[3]});
+                          }) &&
+         readU32Tuples<2>(v, "clone_cache", [&](const std::uint32_t* f) {
+           out->cloneCache.emplace_back(f[0], f[1]);
+         });
 }
 
 bool parseOutputRecord(const JsonValue& v, JournalOutputRecord* out) {
@@ -412,22 +457,22 @@ bool parseOutputRecord(const JsonValue& v, JournalOutputRecord* out) {
     if (!parseReport(item, &r)) return false;
     out->reports.push_back(std::move(r));
   }
-  if (!getI64(v, "conflicts_used", &out->conflictsUsed) ||
-      !getI64(v, "bdd_nodes_used", &out->bddNodesUsed) ||
-      !getU64(v, "completed", &out->completed) ||
-      !getU64(v, "planned", &out->planned) ||
-      !getString(v, "netlist", &out->netlistDump))
+  if (!readI64(v, "conflicts_used", &out->conflictsUsed) ||
+      !readI64(v, "bdd_nodes_used", &out->bddNodesUsed) ||
+      !readU64(v, "completed", &out->completed) ||
+      !readU64(v, "planned", &out->planned) ||
+      !readString(v, "netlist", &out->netlistDump))
     return false;
   const JsonValue* tracker = v.find("tracker");
   return tracker && parseTracker(*tracker, &out->tracker);
 }
 
 bool parseFleetEvent(const JsonValue& v, JournalFleetEvent* out) {
-  return getString(v, "kind", &out->kind) &&
-         getString(v, "worker", &out->worker) &&
-         getU32(v, "output", &out->output) &&
-         getI64(v, "attempt", &out->attempt) &&
-         getString(v, "detail", &out->detail);
+  return readString(v, "kind", &out->kind) &&
+         readString(v, "worker", &out->worker) &&
+         readU32(v, "output", &out->output) &&
+         readI64(v, "attempt", &out->attempt) &&
+         readString(v, "detail", &out->detail);
 }
 
 bool parseVerdicts(const JsonValue& v, JournalVerdicts* out) {
@@ -437,27 +482,15 @@ bool parseVerdicts(const JsonValue& v, JournalVerdicts* out) {
   for (const JsonValue& item : entries->items) {
     if (item.kind != JsonValue::Kind::Object) return false;
     JournalVerdictEntry e;
-    const JsonValue* cert = item.find("certified");
-    if (!(getU32(item, "output", &e.output) &&
-          getString(item, "name", &e.name) && getString(item, "sat", &e.sat) &&
-          getString(item, "bdd", &e.bdd) && getString(item, "sim", &e.sim) &&
-          cert && cert->kind == JsonValue::Kind::Bool))
+    if (!(readU32(item, "output", &e.output) &&
+          readString(item, "name", &e.name) &&
+          readString(item, "sat", &e.sat) && readString(item, "bdd", &e.bdd) &&
+          readString(item, "sim", &e.sim) &&
+          readBool(item, "certified", &e.certified)))
       return false;
-    e.certified = cert->boolean;
     out->entries.push_back(std::move(e));
   }
-  return getU64(v, "disagreements", &out->disagreements);
-}
-
-void serializeReportInto(std::ostringstream& os,
-                         const JournalOutputReport& r) {
-  os << "{\"output\":" << r.output << ",\"name\":\"" << jsonEscape(r.name)
-     << "\",\"status\":\"" << jsonEscape(r.status) << "\",\"limit\":\""
-     << jsonEscape(r.limit) << "\",\"conflicts_used\":" << r.conflictsUsed
-     << ",\"bdd_nodes_used\":" << r.bddNodesUsed << ",\"seconds\":"
-     << r.seconds << ",\"degrade_steps\":" << r.degradeSteps
-     << ",\"attempts\":" << r.attempts << ",\"exit_cause\":\""
-     << jsonEscape(r.exitCause) << "\"}";
+  return readU64(v, "disagreements", &out->disagreements);
 }
 
 }  // namespace
@@ -482,7 +515,7 @@ Result<JournalContents> readJournal(const std::string& dir) {
     }
     const JsonValue& v = parsed.value();
     std::string type;
-    if (!getString(v, "type", &type)) {
+    if (!readString(v, "type", &type)) {
       drop("missing record type");
       continue;
     }
@@ -627,35 +660,29 @@ Result<JournalServeEvent> parseServeEvent(std::string_view payload) {
   if (!parsed.isOk()) return parsed.status();
   const JsonValue& v = parsed.value();
   std::string type;
-  if (!getString(v, "type", &type) || type != "serve")
+  if (!readString(v, "type", &type) || type != "serve")
     return Status::invalidInput("serve record: wrong or missing type");
   JournalServeEvent out;
-  const JsonValue* detach = v.find("detach");
-  const JsonValue* isolate = v.find("isolate");
-  if (!(getString(v, "event", &out.event) && getString(v, "job", &out.job) &&
-        getString(v, "tenant", &out.tenant) &&
-        getString(v, "format", &out.format) &&
-        getU64Wide(v, "seed", &out.seed) && getI64(v, "jobs", &out.jobs) &&
-        detach && detach->kind == JsonValue::Kind::Bool &&
-        isolate && isolate->kind == JsonValue::Kind::Bool &&
-        getU64(v, "bytes", &out.bytes) &&
-        getI64(v, "attempt", &out.attempt) &&
-        getI64(v, "exit_code", &out.exitCode) &&
-        getString(v, "cause", &out.cause) &&
-        getString(v, "detail", &out.detail) &&
-        getString(v, "fault_inject", &out.faultInject)))
-    return Status::invalidInput("serve record: malformed fields");
   // The dispatch target and agent cache counters are optional: a queue WAL
   // written before they existed still folds.
-  if ((v.find("worker") && !getString(v, "worker", &out.worker)) ||
-      (v.find("cache_hits") && !getU64(v, "cache_hits", &out.cacheHits)) ||
-      (v.find("cache_misses") &&
-       !getU64(v, "cache_misses", &out.cacheMisses)) ||
-      (v.find("cache_evictions") &&
-       !getU64(v, "cache_evictions", &out.cacheEvictions)))
+  constexpr JsonKey kOptional = JsonKey::kOptional;
+  if (!(readString(v, "event", &out.event) && readString(v, "job", &out.job) &&
+        readString(v, "tenant", &out.tenant) &&
+        readString(v, "format", &out.format) &&
+        readSeed(v, "seed", &out.seed) && readI64(v, "jobs", &out.jobs) &&
+        readBool(v, "detach", &out.detach) &&
+        readBool(v, "isolate", &out.isolate) &&
+        readU64(v, "bytes", &out.bytes) &&
+        readI64(v, "attempt", &out.attempt) &&
+        readI64(v, "exit_code", &out.exitCode) &&
+        readString(v, "cause", &out.cause) &&
+        readString(v, "detail", &out.detail) &&
+        readString(v, "fault_inject", &out.faultInject) &&
+        readString(v, "worker", &out.worker, kOptional) &&
+        readU64(v, "cache_hits", &out.cacheHits, kOptional) &&
+        readU64(v, "cache_misses", &out.cacheMisses, kOptional) &&
+        readU64(v, "cache_evictions", &out.cacheEvictions, kOptional)))
     return Status::invalidInput("serve record: malformed fields");
-  out.detach = detach->boolean;
-  out.isolate = isolate->boolean;
   if (out.event.empty())
     return Status::invalidInput("serve record: empty event");
   return out;

@@ -24,9 +24,16 @@
 // nothing about the engine types (src/eco/resume.cpp does the mapping and
 // the independent re-certification). Parsing is fuzz-hardened: arbitrary
 // bytes yield kInvalidInput or a dropped-record diagnostic, never UB.
+//
+// It is also the one checked JSON record layer of the program: the worker
+// IPC and fleet payloads (eco/isolate), the serve session protocol
+// (serve/codec) and the batch manifest decode through parseJson and the
+// field readers below, so every record shares one set of acceptance rules.
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,12 +56,52 @@ struct JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members;  ///< Object
 
   /// First member with `key`, or nullptr. Linear: journal objects are tiny.
-  const JsonValue* find(const std::string& key) const;
+  const JsonValue* find(std::string_view key) const;
 };
 
 /// Strict parse of one JSON document (entire input must be consumed).
 /// Depth-capped so adversarial nesting cannot overflow the stack.
 Result<JsonValue> parseJson(std::string_view text);
+
+// --- Checked field readers ------------------------------------------------
+//
+// Each reader returns false when the value has the wrong kind or is out of
+// range, and then leaves *out untouched; the caller rejects the whole
+// record rather than guessing. A required key that is absent also reads
+// false; an optional one reads true and keeps *out (its default), so a
+// record written before the key existed still decodes.
+
+enum class JsonKey : std::uint8_t { kRequired, kOptional };
+
+/// Sanity ceiling for counters and list lengths arriving in any record. Far
+/// above anything a real run produces; its only job is to keep a corrupted
+/// record from smuggling absurd values into run accounting.
+inline constexpr std::int64_t kMaxSmallCount = 1000000;
+
+/// Value readers (array elements). Integers must be exact JSON integers;
+/// doubles must be finite.
+bool jsonU64(const JsonValue& v, std::uint64_t* out);
+bool jsonU32(const JsonValue& v, std::uint32_t* out);
+bool jsonDouble(const JsonValue& v, double* out);
+
+/// Member readers.
+bool readU32(const JsonValue& obj, std::string_view key, std::uint32_t* out,
+             JsonKey presence = JsonKey::kRequired);
+bool readU64(const JsonValue& obj, std::string_view key, std::uint64_t* out,
+             JsonKey presence = JsonKey::kRequired);
+bool readI64(const JsonValue& obj, std::string_view key, std::int64_t* out,
+             JsonKey presence = JsonKey::kRequired);
+bool readDouble(const JsonValue& obj, std::string_view key, double* out,
+                JsonKey presence = JsonKey::kRequired);
+bool readString(const JsonValue& obj, std::string_view key, std::string* out,
+                JsonKey presence = JsonKey::kRequired);
+bool readBool(const JsonValue& obj, std::string_view key, bool* out,
+              JsonKey presence = JsonKey::kRequired);
+/// A full-range uint64 carried as a canonical decimal JSON *string* (no
+/// sign, no leading zero): a JSON number is clipped at int64 range by the
+/// parser, and seeds and epochs use all 64 bits.
+bool readU64String(const JsonValue& obj, std::string_view key,
+                   std::uint64_t* out, JsonKey presence = JsonKey::kRequired);
 
 // --- Record structs -------------------------------------------------------
 
@@ -167,6 +214,15 @@ struct JournalServeEvent {
 };
 
 std::string serializeServeEvent(const JournalServeEvent& r);
+
+/// The one JSON form of a per-output report, shared by journal output
+/// records and worker patches. Numbers print at the stream's precision, so
+/// the caller chooses it (journals keep the default, worker patches use 17
+/// digits). parseReport checks kinds only and defaults the isolation fields
+/// (`attempts`, `exit_cause`) when absent; src/eco/resume.hpp maps the
+/// result onto an engine OutputReport with the range and name checks.
+void serializeReportInto(std::ostream& os, const JournalOutputReport& r);
+bool parseReport(const JsonValue& v, JournalOutputReport* out);
 
 /// Parses one serve WAL payload (a single JSON object with type "serve").
 /// Hardened like the rest of the journal parsers: arbitrary bytes yield

@@ -1,12 +1,12 @@
 #include "serve/batch.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "io/journal_io.hpp"
+#include "io/netlist_format.hpp"
 #include "util/atomic_file.hpp"
 #include "util/io_retry.hpp"
 #include "util/subprocess.hpp"
@@ -21,13 +21,6 @@ constexpr std::size_t kMaxManifestCases = 4096;
 
 Status badManifest(const std::string& why) {
   return Status::invalidInput("batch manifest: " + why);
-}
-
-bool memberString(const JsonValue& v, const char* key, std::string* out) {
-  const JsonValue* m = v.find(key);
-  if (m == nullptr || m->kind != JsonValue::Kind::String) return false;
-  *out = m->str;
-  return true;
 }
 
 }  // namespace
@@ -55,29 +48,24 @@ Result<std::vector<ManifestCase>> parseBatchManifest(std::string_view text) {
     if (e.kind != JsonValue::Kind::Object)
       return badManifest(at + " is not an object");
     ManifestCase c;
-    if (!memberString(e, "name", &c.name) || !validFleetCaseName(c.name))
+    if (!readString(e, "name", &c.name) || !validFleetCaseName(c.name))
       return badManifest(
           at + " needs a portable \"name\" (1..64 of [A-Za-z0-9._-], not "
                "starting with '.')");
     if (!seen.insert(c.name).second)
       return badManifest("duplicate case name '" + c.name + "'");
-    if (!memberString(e, "impl", &c.implPath) || c.implPath.empty())
+    if (!readString(e, "impl", &c.implPath) || c.implPath.empty())
       return badManifest(at + " needs an \"impl\" path");
-    if (!memberString(e, "spec", &c.specPath) || c.specPath.empty())
+    if (!readString(e, "spec", &c.specPath) || c.specPath.empty())
       return badManifest(at + " needs a \"spec\" path");
-    if (const JsonValue* seed = e.find("seed"); seed != nullptr) {
-      if (!seed->isInteger || seed->integer < 0)
-        return badManifest(at + ": \"seed\" must be a non-negative integer");
-      c.seed = static_cast<std::uint64_t>(seed->integer);
-      c.hasSeed = true;
-    }
-    if (const JsonValue* jobs = e.find("jobs"); jobs != nullptr) {
-      if (!jobs->isInteger || jobs->integer < 1 || jobs->integer > kMaxCaseJobs)
-        return badManifest(at + ": \"jobs\" must be in 1.." +
-                           std::to_string(kMaxCaseJobs));
-      c.jobs = jobs->integer;
-      c.hasJobs = true;
-    }
+    c.hasSeed = e.find("seed") != nullptr;
+    if (!readU64(e, "seed", &c.seed, JsonKey::kOptional))
+      return badManifest(at + ": \"seed\" must be a non-negative integer");
+    c.hasJobs = e.find("jobs") != nullptr;
+    if (!readI64(e, "jobs", &c.jobs, JsonKey::kOptional) ||
+        (c.hasJobs && (c.jobs < 1 || c.jobs > kMaxCaseJobs)))
+      return badManifest(at + ": \"jobs\" must be in 1.." +
+                         std::to_string(kMaxCaseJobs));
     out.push_back(std::move(c));
   }
   return out;
@@ -89,38 +77,16 @@ namespace {
 
 constexpr int kBatchTickMs = 50;
 
-/// A manifest input's job format, from its path extension.
-std::string formatOf(const std::string& path) {
-  const std::size_t dot = path.rfind('.');
-  const std::size_t slash = path.rfind('/');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash))
-    return "netlist";
-  const std::string ext = path.substr(dot);
-  if (ext == ".blif") return "blif";
-  if (ext == ".v") return "v";
-  return "netlist";
-}
-
-Result<std::string> slurpFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    return Status::invalidInput("cannot open '" + path + "' for reading");
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
 /// Reads and validates one case's inputs into `req`; the status says why
 /// the case cannot run (kept as the failed job's detail).
 Status loadCaseInputs(const ManifestCase& m, SubmitRequest& req) {
-  Result<std::string> impl = slurpFile(m.implPath);
-  Result<std::string> spec = slurpFile(m.specPath);
+  Result<std::string> impl = readFileText(m.implPath);
+  Result<std::string> spec = readFileText(m.specPath);
   if (impl.isOk()) req.implText = impl.take();
   if (spec.isOk()) req.specText = spec.take();
   if (!impl.isOk()) return impl.status();
   if (!spec.isOk()) return spec.status();
-  if (formatOf(m.specPath) != req.format)
+  if (netlistFormatOf(m.specPath) != req.format)
     return Status::invalidInput("impl and spec must share one netlist format");
   return validatePayload(req);
 }
@@ -131,7 +97,7 @@ Status loadCaseInputs(const ManifestCase& m, SubmitRequest& req) {
 Status registerCase(JobQueue& queue, const ManifestCase& m,
                     const BatchOptions& opt) {
   SubmitRequest req;
-  req.format = formatOf(m.implPath);
+  req.format = netlistFormatOf(m.implPath);
   req.seed = m.hasSeed ? m.seed : opt.defaultSeed;
   req.jobs = m.hasJobs ? m.jobs : opt.defaultJobs;
   const Status inputs = loadCaseInputs(m, req);
@@ -181,7 +147,7 @@ Result<BatchOutcome> runBatch(const BatchOptions& opt) {
     return Status::invalidInput("batch driver needs its worker binary path");
   ioretry::ignoreSigpipeOnce();
 
-  Result<std::string> manifestText = slurpFile(opt.manifestPath);
+  Result<std::string> manifestText = readFileText(opt.manifestPath);
   if (!manifestText.isOk()) return manifestText.status();
   Result<std::vector<ManifestCase>> manifest =
       parseBatchManifest(manifestText.value());

@@ -2,7 +2,9 @@
 
 #include <sstream>
 
+#include "eco/isolate.hpp"
 #include "io/journal_io.hpp"
+#include "io/netlist_format.hpp"
 #include "util/journal.hpp"
 
 namespace syseco::serve {
@@ -11,55 +13,13 @@ namespace {
 
 Status bad(const std::string& what) { return Status::invalidInput(what); }
 
-/// Object member accessors with the journal parsers' tolerance policy:
-/// a *missing* key yields the default (forward compatibility), a key of
-/// the *wrong kind* is a hard reject (a confused peer, not a newer one).
-Result<std::string> getString(const JsonValue& obj, const std::string& key,
-                              const std::string& fallback = "") {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::String)
-    return bad("serve payload key '" + key + "' is not a string");
-  return v->str;
-}
+constexpr JsonKey kOptional = JsonKey::kOptional;
 
-Result<std::int64_t> getI64(const JsonValue& obj, const std::string& key,
-                            std::int64_t fallback) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::Number || !v->isInteger)
-    return bad("serve payload key '" + key + "' is not an integer");
-  return v->integer;
-}
-
-Result<bool> getBool(const JsonValue& obj, const std::string& key,
-                     bool fallback) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::Bool)
-    return bad("serve payload key '" + key + "' is not a bool");
-  return v->boolean;
-}
-
-/// u64 values ride as decimal strings (the journal_io idiom for seeds:
-/// JSON numbers are doubles and would silently round 2^53+).
-Result<std::uint64_t> getU64String(const JsonValue& obj,
-                                   const std::string& key,
-                                   std::uint64_t fallback) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::String || v->str.empty())
-    return bad("serve payload key '" + key + "' is not a u64 string");
-  std::uint64_t out = 0;
-  for (char c : v->str) {
-    if (c < '0' || c > '9')
-      return bad("serve payload key '" + key + "' is not a u64 string");
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (out > (UINT64_MAX - digit) / 10)
-      return bad("serve payload key '" + key + "' overflows u64");
-    out = out * 10 + digit;
-  }
-  return out;
+/// Every payload key is optional: a missing key keeps the struct default
+/// (forward compatibility), a malformed one is a hard reject (a confused
+/// peer, not a newer one).
+Status badKey(const char* key) {
+  return bad(std::string("serve payload key '") + key + "' is malformed");
 }
 
 Result<JsonValue> parseTyped(std::string_view payload, const char* type) {
@@ -68,8 +28,8 @@ Result<JsonValue> parseTyped(std::string_view payload, const char* type) {
   JsonValue doc = parsed.take();
   if (doc.kind != JsonValue::Kind::Object)
     return bad("serve payload is not a JSON object");
-  const JsonValue* t = doc.find("type");
-  if (t == nullptr || t->kind != JsonValue::Kind::String || t->str != type)
+  std::string t;
+  if (!readString(doc, "type", &t) || t != type)
     return bad(std::string("serve payload is not a '") + type + "' record");
   return doc;
 }
@@ -118,41 +78,26 @@ Result<SubmitRequest> decodeSubmit(std::string_view payload) {
   if (!parsed.isOk()) return parsed.status();
   const JsonValue& doc = parsed.value();
   SubmitRequest r;
-  Result<std::string> tenant = getString(doc, "tenant", "default");
-  if (!tenant.isOk()) return tenant.status();
-  r.tenant = tenant.take();
+  if (!readString(doc, "tenant", &r.tenant, kOptional)) return badKey("tenant");
   if (r.tenant.empty()) return bad("serve submit has an empty tenant");
-  Result<std::string> format = getString(doc, "format", "blif");
-  if (!format.isOk()) return format.status();
-  r.format = format.take();
-  if (r.format != "blif" && r.format != "v" && r.format != "netlist")
+  if (!readString(doc, "format", &r.format, kOptional)) return badKey("format");
+  if (!isNetlistFormat(r.format))
     return bad("serve submit format must be blif|v|netlist, got '" +
                r.format + "'");
-  Result<std::string> impl = getString(doc, "impl");
-  if (!impl.isOk()) return impl.status();
-  r.implText = impl.take();
-  Result<std::string> spec = getString(doc, "spec");
-  if (!spec.isOk()) return spec.status();
-  r.specText = spec.take();
+  if (!readString(doc, "impl", &r.implText, kOptional)) return badKey("impl");
+  if (!readString(doc, "spec", &r.specText, kOptional)) return badKey("spec");
   if (r.implText.empty() || r.specText.empty())
     return bad("serve submit is missing a netlist payload");
-  Result<std::uint64_t> seed = getU64String(doc, "seed", 1);
-  if (!seed.isOk()) return seed.status();
-  r.seed = seed.take();
-  Result<std::int64_t> jobs = getI64(doc, "jobs", 1);
-  if (!jobs.isOk()) return jobs.status();
-  r.jobs = jobs.take();
-  if (r.jobs < 1 || r.jobs > 256)
-    return bad("serve submit jobs must be in 1..256");
-  Result<bool> isolate = getBool(doc, "isolate", false);
-  if (!isolate.isOk()) return isolate.status();
-  r.isolate = isolate.take();
-  Result<bool> detach = getBool(doc, "detach", false);
-  if (!detach.isOk()) return detach.status();
-  r.detach = detach.take();
-  Result<std::string> fault = getString(doc, "fault_inject");
-  if (!fault.isOk()) return fault.status();
-  r.faultInject = fault.take();
+  if (!readU64String(doc, "seed", &r.seed, kOptional)) return badKey("seed");
+  if (!readI64(doc, "jobs", &r.jobs, kOptional)) return badKey("jobs");
+  if (r.jobs < 1 || r.jobs > kMaxCaseJobs)
+    return bad("serve submit jobs must be in 1.." +
+               std::to_string(kMaxCaseJobs));
+  if (!readBool(doc, "isolate", &r.isolate, kOptional))
+    return badKey("isolate");
+  if (!readBool(doc, "detach", &r.detach, kOptional)) return badKey("detach");
+  if (!readString(doc, "fault_inject", &r.faultInject, kOptional))
+    return badKey("fault_inject");
   return r;
 }
 
@@ -170,9 +115,8 @@ Result<Accepted> decodeAccepted(std::string_view payload) {
   Result<JsonValue> parsed = parseTyped(payload, "accepted");
   if (!parsed.isOk()) return parsed.status();
   Accepted r;
-  Result<std::string> job = getString(parsed.value(), "job");
-  if (!job.isOk()) return job.status();
-  r.job = job.take();
+  if (!readString(parsed.value(), "job", &r.job, kOptional))
+    return badKey("job");
   if (r.job.empty()) return bad("serve accepted has an empty job id");
   return r;
 }
@@ -192,13 +136,11 @@ Result<Rejected> decodeRejected(std::string_view payload) {
   Result<JsonValue> parsed = parseTyped(payload, "rejected");
   if (!parsed.isOk()) return parsed.status();
   Rejected r;
-  Result<std::string> reason = getString(parsed.value(), "reason");
-  if (!reason.isOk()) return reason.status();
-  r.reason = reason.take();
+  if (!readString(parsed.value(), "reason", &r.reason, kOptional))
+    return badKey("reason");
   if (r.reason.empty()) return bad("serve rejected has an empty reason");
-  Result<std::string> detail = getString(parsed.value(), "detail");
-  if (!detail.isOk()) return detail.status();
-  r.detail = detail.take();
+  if (!readString(parsed.value(), "detail", &r.detail, kOptional))
+    return badKey("detail");
   return r;
 }
 
@@ -216,9 +158,8 @@ Result<JobRef> decodeJobRef(std::string_view payload) {
   Result<JsonValue> parsed = parseTyped(payload, "job_ref");
   if (!parsed.isOk()) return parsed.status();
   JobRef r;
-  Result<std::string> job = getString(parsed.value(), "job");
-  if (!job.isOk()) return job.status();
-  r.job = job.take();
+  if (!readString(parsed.value(), "job", &r.job, kOptional))
+    return badKey("job");
   if (r.job.empty()) return bad("serve job ref has an empty job id");
   return r;
 }
@@ -245,31 +186,19 @@ Result<JobState> decodeJobState(std::string_view payload) {
   if (!parsed.isOk()) return parsed.status();
   const JsonValue& doc = parsed.value();
   JobState r;
-  Result<std::string> job = getString(doc, "job");
-  if (!job.isOk()) return job.status();
-  r.job = job.take();
-  Result<std::string> state = getString(doc, "state");
-  if (!state.isOk()) return state.status();
-  r.state = state.take();
+  if (!readString(doc, "job", &r.job, kOptional)) return badKey("job");
+  if (!readString(doc, "state", &r.state, kOptional)) return badKey("state");
   if (r.state.empty()) return bad("serve job state has an empty state");
-  Result<std::int64_t> attempt = getI64(doc, "attempt", 0);
-  if (!attempt.isOk()) return attempt.status();
-  r.attempt = attempt.take();
-  Result<std::int64_t> exitCode = getI64(doc, "exit_code", 0);
-  if (!exitCode.isOk()) return exitCode.status();
-  r.exitCode = exitCode.take();
-  Result<std::string> cause = getString(doc, "cause");
-  if (!cause.isOk()) return cause.status();
-  r.cause = cause.take();
-  Result<std::string> detail = getString(doc, "detail");
-  if (!detail.isOk()) return detail.status();
-  r.detail = detail.take();
-  Result<std::string> report = getString(doc, "report");
-  if (!report.isOk()) return report.status();
-  r.reportText = report.take();
-  Result<std::string> out = getString(doc, "out");
-  if (!out.isOk()) return out.status();
-  r.outText = out.take();
+  if (!readI64(doc, "attempt", &r.attempt, kOptional))
+    return badKey("attempt");
+  if (!readI64(doc, "exit_code", &r.exitCode, kOptional))
+    return badKey("exit_code");
+  if (!readString(doc, "cause", &r.cause, kOptional)) return badKey("cause");
+  if (!readString(doc, "detail", &r.detail, kOptional))
+    return badKey("detail");
+  if (!readString(doc, "report", &r.reportText, kOptional))
+    return badKey("report");
+  if (!readString(doc, "out", &r.outText, kOptional)) return badKey("out");
   return r;
 }
 

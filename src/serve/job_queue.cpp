@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "io/journal_io.hpp"
+#include "io/netlist_format.hpp"
 #include "util/atomic_file.hpp"
 
 namespace syseco::serve {
@@ -22,12 +23,6 @@ Status ensureDir(const std::string& path) {
   if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST) return Status::ok();
   return Status::internal("mkdir('" + path + "') failed: " +
                           std::strerror(errno));
-}
-
-std::string formatExtension(const std::string& format) {
-  if (format == "blif") return ".blif";
-  if (format == "v") return ".v";
-  return ".netlist";
 }
 
 /// Folds one WAL record into the recovered job list (submission order;
@@ -399,11 +394,11 @@ std::string JobQueue::jobDir(const std::string& id) const {
 }
 
 std::string JobQueue::implPath(const Job& job) const {
-  return jobDir(job.id) + "/impl" + formatExtension(job.format);
+  return jobDir(job.id) + "/impl" + netlistFormatExtension(job.format);
 }
 
 std::string JobQueue::specPath(const Job& job) const {
-  return jobDir(job.id) + "/spec" + formatExtension(job.format);
+  return jobDir(job.id) + "/spec" + netlistFormatExtension(job.format);
 }
 
 std::string JobQueue::engineJournalDir(const Job& job) const {
@@ -415,7 +410,7 @@ std::string JobQueue::reportPath(const Job& job) const {
 }
 
 std::string JobQueue::outPath(const Job& job) const {
-  return jobDir(job.id) + "/out" + formatExtension(job.format);
+  return jobDir(job.id) + "/out" + netlistFormatExtension(job.format);
 }
 
 std::string JobQueue::verdictsPath(const Job& job) const {

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string_view>
 
-#include "io/blif_io.hpp"
-#include "io/netlist_io.hpp"
-#include "io/verilog_io.hpp"
+#include "io/netlist_format.hpp"
 #include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
 #include "util/ipc.hpp"
@@ -28,19 +25,6 @@ double caseRedispatchBackoffSeconds(double backoffBaseMs, std::uint64_t seed,
   return retryBackoffSeconds(opt, caseOrdinal, failedAttempts);
 }
 
-namespace {
-
-/// Parses netlist text in one of the job formats with the checked parsers.
-Result<Netlist> parseNetlistText(const std::string& format,
-                                 const std::string& text) {
-  std::istringstream is(text);
-  return format == "blif" ? readBlifChecked(is)
-         : format == "v"  ? readVerilogChecked(is)
-                          : readNetlistChecked(is);
-}
-
-}  // namespace
-
 Status validatePayload(const SubmitRequest& r) {
   const std::pair<const char*, const std::string*> texts[] = {
       {"impl", &r.implText}, {"spec", &r.specText}};
@@ -58,17 +42,6 @@ Status validatePayload(const SubmitRequest& r) {
 namespace {
 
 constexpr double kTerminateGraceSeconds = 1.0;
-
-std::string netlistText(const std::string& format, const Netlist& nl) {
-  std::ostringstream os;
-  if (format == "blif")
-    writeBlif(os, nl);
-  else if (format == "v")
-    writeVerilog(os, nl);
-  else
-    writeNetlist(os, nl);
-  return os.str();
-}
 
 /// verdicts.txt content: the oracle's verdicts record as one line, or an
 /// empty file when the run had none. The record is timing-free by design,

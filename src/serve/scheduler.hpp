@@ -45,10 +45,6 @@
 
 namespace syseco::serve {
 
-/// Per-case engine parallelism ceiling (--jobs), shared by the manifest
-/// parser and the case-task wire contract.
-inline constexpr std::int64_t kMaxCaseJobs = 256;
-
 /// Case-level redispatch pacing. Deliberately the per-output transports'
 /// retryBackoffSeconds contract (same doubling base, same cap, same
 /// seed-derived jitter) keyed by a case ordinal - crc32 of the job id - in

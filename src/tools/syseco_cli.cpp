@@ -160,9 +160,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
-#include <fstream>
 #include <sstream>
 #include <iterator>
 #include <optional>
@@ -179,10 +177,8 @@
 #include "eco/resume.hpp"
 #include "eco/syseco.hpp"
 #include "itp/interp_fix.hpp"
-#include "io/blif_io.hpp"
 #include "io/journal_io.hpp"
-#include "io/netlist_io.hpp"
-#include "io/verilog_io.hpp"
+#include "io/netlist_format.hpp"
 #include "serve/batch.hpp"
 #include "serve/serve.hpp"
 #include "util/atomic_file.hpp"
@@ -239,42 +235,6 @@ void installSignalHandlers() {
   sigemptyset(&sa.sa_mask);
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-bool endsWith(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-Result<Netlist> loadAnyChecked(const std::string& path) {
-  if (endsWith(path, ".blif")) return loadBlifChecked(path);
-  if (endsWith(path, ".v")) return loadVerilogChecked(path);
-  return loadNetlistChecked(path);
-}
-
-void saveAny(const std::string& path, const Netlist& nl) {
-  if (endsWith(path, ".blif")) {
-    saveBlif(path, nl);
-  } else if (endsWith(path, ".v")) {
-    saveVerilog(path, nl);
-  } else {
-    saveNetlist(path, nl);
-  }
-}
-
-std::string formatOf(const std::string& path) {
-  if (endsWith(path, ".blif")) return "blif";
-  if (endsWith(path, ".v")) return "v";
-  return "netlist";
-}
-
-Result<std::string> readFileText(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    return Status::invalidInput("cannot open '" + path + "' for reading");
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
 }
 
 /// The binary the daemon execs per job: /proc/self/exe when resolvable
@@ -352,8 +312,7 @@ void writeFailureReport(const std::string& reportPath,
                "          [--bdd-reorder off|sift|sift-converge] "
                "[--bdd-cache-bits N]\n"
                "          [--bdd-reorder-threshold N] "
-               "[--rank structural|sharpsat]\n"
-               "          [--patch-minimize auto|on|off]\n"
+               "[--patch-minimize auto|on|off]\n"
                "          [--level-driven] [--uniform-sampling] [--no-sweep]"
                "\n          [--jobs N] [--isolate] [--isolate-max-attempts N]"
                " [--isolate-mem-mb N]\n"
@@ -464,13 +423,6 @@ int main(int argc, char** argv) {
       else if (arg == "--bdd-reorder-threshold")
         opt.bddReorderThreshold =
             static_cast<std::size_t>(std::stoull(value()));
-      else if (arg == "--rank") {
-        const std::string mode = value();
-        if (mode == "structural") opt.rankMode = RankMode::kStructural;
-        else if (mode == "sharpsat") opt.rankMode = RankMode::kSharpSat;
-        else throw std::invalid_argument(
-            "expected structural|sharpsat, got '" + mode + "'");
-      }
       else if (arg == "--patch-minimize") {
         const std::string mode = value();
         if (mode == "auto") opt.minimizePatch = PatchMinimize::kAuto;
@@ -796,7 +748,7 @@ int main(int argc, char** argv) {
       if (!specText.isOk()) return specText.status();
       serve::SubmitRequest req;
       req.tenant = tenant;
-      req.format = formatOf(implPath);
+      req.format = netlistFormatOf(implPath);
       req.implText = implText.take();
       req.specText = specText.take();
       req.seed = opt.seed;
@@ -843,7 +795,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    Result<Netlist> implLoaded = loadAnyChecked(implPath);
+    Result<Netlist> implLoaded = loadAnyNetlistChecked(implPath);
     if (!implLoaded.isOk()) {
       std::fprintf(stderr, "error: %s\n",
                    implLoaded.status().toString().c_str());
@@ -851,7 +803,7 @@ int main(int argc, char** argv) {
                          kExitInvalidInput);
       return kExitInvalidInput;
     }
-    Result<Netlist> specLoaded = loadAnyChecked(specPath);
+    Result<Netlist> specLoaded = loadAnyNetlistChecked(specPath);
     if (!specLoaded.isOk()) {
       std::fprintf(stderr, "error: %s\n",
                    specLoaded.status().toString().c_str());
@@ -1135,7 +1087,7 @@ int main(int argc, char** argv) {
       std::printf("run report written to %s\n", reportPath.c_str());
     }
     if (!outPath.empty()) {
-      saveAny(outPath, result.rectified);
+      saveAnyNetlist(outPath, result.rectified);
       std::printf("rectified design written to %s\n", outPath.c_str());
     }
     return exitCode;

@@ -14,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace syseco {
@@ -35,6 +36,17 @@ inline const char* statusCodeName(StatusCode c) {
     case StatusCode::kInternal: return "internal";
   }
   return "unknown";
+}
+
+/// Inverse of statusCodeName; nullopt for names from a newer schema.
+inline std::optional<StatusCode> statusCodeFromName(std::string_view name) {
+  for (StatusCode c :
+       {StatusCode::kOk, StatusCode::kBudgetExhausted,
+        StatusCode::kDeadlineExceeded, StatusCode::kInvalidInput,
+        StatusCode::kInternal}) {
+    if (name == statusCodeName(c)) return c;
+  }
+  return std::nullopt;
 }
 
 class [[nodiscard]] Status {
