@@ -3,7 +3,7 @@
 # (Release) and regenerates BENCH_e2e.json at the repo root.
 #
 # Usage: scripts/bench.sh [--quick] [--out PATH]
-#   --quick  3-case subset, single repetition (the CI smoke configuration)
+#   --quick  3-case subset, still best-of-3 (the CI smoke configuration)
 #   --out    where to write the JSON (default: <repo>/BENCH_e2e.json)
 set -euo pipefail
 

@@ -69,9 +69,7 @@ struct BddCube {
 ///  * kOff: identity behavior of the pre-reordering package - node creation
 ///    order, budget trip points and governor charges are bit-identical.
 ///  * kSift: one sifting pass per auto-reorder trigger.
-///  * kSiftConverge: sifting passes repeat until the live size stops
-///    improving (or a pass cap is hit).
-enum class BddReorder : std::uint8_t { kOff = 0, kSift = 1, kSiftConverge = 2 };
+enum class BddReorder : std::uint8_t { kOff = 0, kSift = 1 };
 
 /// Tunables for the unique table, computed cache and reordering machinery.
 /// The defaults reproduce the historical package exactly when
@@ -174,8 +172,8 @@ class Bdd {
     std::size_t slot_;
   };
 
-  /// Runs one reordering pass now (honoring the configured policy; a kOff
-  /// manager sifts once). `roots` are the refs that must stay live.
+  /// Runs one sifting pass now (a kOff manager too). `roots` are the refs
+  /// that must stay live.
   /// Returns live node count after the pass.
   std::size_t reorderNow(const std::vector<Ref>& roots);
 

@@ -127,14 +127,6 @@ EcoResult runExactFix(const Netlist& impl, const Netlist& spec,
         // Variable layout: one BDD var per support PI, plus y last.
         BddConfig bddCfg;
         bddCfg.nodeLimit = options.bddNodeLimit;
-        bddCfg.reorder = options.bddReorder;
-        if (options.bddCacheBits != 0) {
-          bddCfg.cacheBits = options.bddCacheBits;
-          bddCfg.maxCacheBits =
-              std::max(bddCfg.maxCacheBits, options.bddCacheBits);
-        }
-        if (options.bddReorderThreshold != 0)
-          bddCfg.reorderThreshold = options.bddReorderThreshold;
         Bdd mgr(static_cast<std::uint32_t>(support.size()) + 1, bddCfg);
         // Reorder roots: the in-flight cone build plus the spec function
         // held across the per-pin loop.

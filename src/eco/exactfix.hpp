@@ -21,7 +21,6 @@
 // cones - in which case this engine falls back to match-aware cone
 // cloning, like the others.
 
-#include "bdd/bdd.hpp"
 #include "eco/patch.hpp"
 #include "netlist/netlist.hpp"
 
@@ -31,14 +30,10 @@ struct ExactFixOptions {
   std::size_t maxSupport = 18;       ///< max PI support for exact BDDs
   std::size_t maxConeGates = 1500;   ///< cone size guard
   std::size_t maxCandidatePins = 16; ///< pins tried per output
+  /// Node limit of the per-output BDD manager. The manager keeps identity
+  /// variable order: ISOP covers (and therefore the synthesized patch
+  /// shape) depend on it, so this baseline's patches stay stable.
   std::size_t bddNodeLimit = 1u << 20;
-  /// BDD engine tuning. Reordering defaults off here: ISOP covers (and
-  /// therefore the synthesized patch shape) depend on the variable order,
-  /// so the default keeps this baseline's patches stable; opting in trades
-  /// that for wide-support cones surviving the node limit.
-  BddReorder bddReorder = BddReorder::kOff;
-  std::uint32_t bddCacheBits = 0;       ///< 0 = engine default
-  std::size_t bddReorderThreshold = 0;  ///< 0 = engine default
   std::uint64_t seed = 1;
 };
 

@@ -280,9 +280,8 @@ AgentTask caseTask(const FleetCaseTask& req, const CaseCacheLru& cache,
     res.epoch = req.epoch;
     res.exitCode = result.success ? (diag.resourceDegraded() ? 4 : 0) : 1;
     res.report = runReportText("syseco", result, diag, wopt.audit,
-                               wopt.oracle.enabled, res.exitCode);
-    if (wopt.oracle.enabled)
-      res.verdicts = serializeVerdicts(makeVerdictsRecord(diag));
+                               res.exitCode);
+    res.verdicts = serializeVerdicts(makeVerdictsRecord(diag));
     res.netlist = result.rectified.dumpRawString();
     const CaseCacheLru::Stats& cs = cache.stats();
     res.cacheHits = cs.hits;

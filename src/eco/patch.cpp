@@ -1,12 +1,9 @@
 #include "eco/patch.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <future>
 
 #include "cnf/encode.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace syseco {
 
@@ -145,41 +142,6 @@ bool verifyAllOutputs(const Netlist& impl, const Netlist& spec) {
       return false;
   }
   return true;
-}
-
-bool verifyAllOutputs(const Netlist& impl, const Netlist& spec,
-                      ThreadPool& pool) {
-  const std::uint32_t numOutputs = impl.numOutputs();
-  const std::size_t chunks =
-      std::min<std::size_t>(std::max<std::size_t>(pool.threadCount(), 1),
-                            std::max<std::uint32_t>(numOutputs, 1));
-  if (chunks <= 1) return verifyAllOutputs(impl, spec);
-
-  std::atomic<bool> ok{true};
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    futures.push_back(pool.submit([&, c] {
-      // Each worker owns its encoding and solver; every check is unbounded
-      // so its verdict is definite and the conjunction below is
-      // schedule-independent.
-      PairEncoding pe(impl, spec);
-      Rng rng(0x5eedu);
-      for (std::uint32_t o = static_cast<std::uint32_t>(c); o < numOutputs;
-           o += static_cast<std::uint32_t>(chunks)) {
-        if (!ok.load(std::memory_order_relaxed)) return;
-        const std::uint32_t op = spec.findOutput(impl.outputName(o));
-        if (op == kNullId) continue;
-        if (pe.solveDiffSwept(o, op, /*conflictBudget=*/-1, rng) !=
-            Solver::Result::Unsat) {
-          ok.store(false, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
-  return ok.load(std::memory_order_relaxed);
 }
 
 }  // namespace syseco

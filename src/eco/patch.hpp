@@ -108,13 +108,4 @@ class PatchTracker {
 /// (unbounded SAT). The final verification step of each engine.
 bool verifyAllOutputs(const Netlist& impl, const Netlist& spec);
 
-class ThreadPool;
-
-/// Parallel variant: output pairs are verified across the pool's workers,
-/// each with its own encoding and solver. The verdict is the conjunction
-/// of per-output results (each unbounded, hence definite), so it is
-/// identical to the sequential overload's for any pool size.
-bool verifyAllOutputs(const Netlist& impl, const Netlist& spec,
-                      ThreadPool& pool);
-
 }  // namespace syseco

@@ -11,7 +11,7 @@ namespace syseco {
 
 void writeRunReport(std::ostream& os, const std::string& engine,
                     const EcoResult& result, const SysecoDiagnostics& diag,
-                    AuditLevel auditLevel, bool oracleEnabled, int exitCode) {
+                    AuditLevel auditLevel, int exitCode) {
   os << "{\n";
   os << "  \"engine\": \"" << jsonEscape(engine) << "\",\n";
   os << "  \"build\": " << buildInfoJson("  ") << ",\n";
@@ -72,8 +72,10 @@ void writeRunReport(std::ostream& os, const std::string& engine,
   os << "]},\n";
   // Oracle certificates: per-output verdicts, deliberately timing-free so
   // reports from --jobs/--isolate/--resume runs diff clean after the
-  // standard timing normalization.
-  os << "  \"oracle\": {\"enabled\": " << (oracleEnabled ? "true" : "false")
+  // standard timing normalization. Every syseco run certifies; the
+  // baseline engines do not.
+  os << "  \"oracle\": {\"enabled\": "
+     << (engine == "syseco" ? "true" : "false")
      << ", \"disagreements\": " << diag.oracleDisagreements.size()
      << ", \"outputs\": [";
   for (std::size_t i = 0; i < diag.certificates.size(); ++i) {
@@ -116,10 +118,9 @@ void writeRunReport(std::ostream& os, const std::string& engine,
 
 std::string runReportText(const std::string& engine, const EcoResult& result,
                           const SysecoDiagnostics& diag, AuditLevel auditLevel,
-                          bool oracleEnabled, int exitCode) {
+                          int exitCode) {
   std::ostringstream os;
-  writeRunReport(os, engine, result, diag, auditLevel, oracleEnabled,
-                 exitCode);
+  writeRunReport(os, engine, result, diag, auditLevel, exitCode);
   return os.str();
 }
 

@@ -17,11 +17,11 @@ namespace syseco {
 /// Streams the full run report JSON for one engine run.
 void writeRunReport(std::ostream& os, const std::string& engine,
                     const EcoResult& result, const SysecoDiagnostics& diag,
-                    AuditLevel auditLevel, bool oracleEnabled, int exitCode);
+                    AuditLevel auditLevel, int exitCode);
 
 /// Convenience: the report as a string (the wire/batch shape).
 std::string runReportText(const std::string& engine, const EcoResult& result,
                           const SysecoDiagnostics& diag, AuditLevel auditLevel,
-                          bool oracleEnabled, int exitCode);
+                          int exitCode);
 
 }  // namespace syseco

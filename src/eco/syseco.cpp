@@ -209,11 +209,9 @@ class Engine {
     ownedSpecAnalysis_ = std::make_unique<NetlistAnalysis>(spec_);
     specAnalysis_ = ownedSpecAnalysis_.get();
 
-    // Speculative parallel mode needs a resource-unlimited run (fair-share
-    // slicing is inherently completion-order-dependent) and, on resume, a
-    // plan that carries the unpatched base netlist.
-    const bool speculative =
-        !rootGuard_.limited() && (!plan || plan->base.numOutputs() > 0);
+    // Speculative parallel mode needs a resource-unlimited run: fair-share
+    // slicing is inherently completion-order-dependent.
+    const bool speculative = !rootGuard_.limited();
 
     std::vector<std::uint32_t> failing;
     if (plan) {
@@ -288,14 +286,7 @@ class Engine {
       // Final verification is the soundness gate: it always runs unbounded,
       // whatever the governor says - a degraded run still proves its patch.
       Timer verifyPhase;
-      if (opt_.oracle.enabled) {
-        certifyRun();
-      } else if (speculative && opt_.jobs > 1) {
-        ThreadPool pool(opt_.jobs);
-        result_.success = verifyAllOutputs(result_.rectified, spec_, pool);
-      } else {
-        result_.success = verifyAllOutputs(result_.rectified, spec_);
-      }
+      certifyRun();
       const double verifyWall = verifyPhase.seconds();
       diag_.secondsVerify += verifyWall;
       diag_.secondsVerifyCpu += verifyWall;
@@ -310,8 +301,8 @@ class Engine {
 
   /// The original fair-share sequential cascade. Used whenever the governor
   /// imposes limits (slice sizes depend on completion order, so speculation
-  /// cannot reproduce them) or a hand-built resume plan lacks the base
-  /// netlist. Returns true when a checkpoint hook interrupted the run.
+  /// cannot reproduce them). Returns true when a checkpoint hook
+  /// interrupted the run.
   bool runSequential(const std::vector<std::uint32_t>& failing) {
     for (std::size_t k = 0; k < failing.size(); ++k) {
       // Fair-share slicing: each output is entitled to 1/left of whatever
@@ -355,7 +346,7 @@ class Engine {
   /// Everything a per-output task is a pure function of, minus the output.
   struct TaskContext {
     const Netlist& base;
-    const SysecoOptions& workerOpt;
+    const SysecoOptions& opt;
     const std::vector<std::uint32_t>& protect;
   };
 
@@ -433,7 +424,7 @@ class Engine {
       futures_[slot] = pool_.submit([this, out, start, output] {
         Start queued = Start::kQueued;
         if (!start->compare_exchange_strong(queued, Start::kStarted)) return;
-        out->emplace(computeTask(ctx_.base, eng_.spec_, ctx_.workerOpt,
+        out->emplace(computeTask(ctx_.base, eng_.spec_, ctx_.opt,
                                  output, ctx_.protect, eng_.baseAnalysis_,
                                  eng_.specAnalysis_));
       });
@@ -708,7 +699,7 @@ class Engine {
       }
 
       Result<WorkerPatch> patch =
-          computeTask(ctx_.base, eng_.spec_, ctx_.workerOpt, o, ctx_.protect,
+          computeTask(ctx_.base, eng_.spec_, ctx_.opt, o, ctx_.protect,
                       eng_.baseAnalysis_, eng_.specAnalysis_);
       if (!patch.isOk())
         return workerExitCauseOf(patch.status()) == WorkerExitCause::kOom
@@ -744,7 +735,7 @@ class Engine {
           base_(ctx.base),
           report_(std::move(report)),
           case_(std::make_shared<const AgentPool::Case>(encodeFleetCase(
-              ctx.base, eng.spec_, ctx.workerOpt, ctx.protect))),
+              ctx.base, eng.spec_, ctx.opt, ctx.protect))),
           outputs_(slots),
           pool_(AgentPool::Options{eng.opt_.workers, eng.opt_.fleetLeaseSeconds,
                                    eng.opt_.fleetConnectTimeoutMs,
@@ -885,12 +876,11 @@ class Engine {
     const Netlist base = plan ? plan->base : working();
     commitBaseGates_ = base.numGatesTotal();
     commitBaseNets_ = base.numNetsTotal();
-    const SysecoOptions workerOpt = makeWorkerOptions();
     // Workers protect the *full* planned output set, not just the still-
     // pending remainder: an uninterrupted run's workers see every planned
     // output as failing, and a resumed run must reproduce those workers
     // bit-exactly even though some outputs are already committed.
-    const TaskContext ctx{base, workerOpt, plan ? plan->order : failing};
+    const TaskContext ctx{base, opt_, plan ? plan->order : failing};
 
     enum class SlotState : std::uint8_t { kPending, kRunning, kDone };
     struct Slot {
@@ -1258,28 +1248,6 @@ class Engine {
     diag_.secondsFallback += f.secondsFallback;
   }
 
-  // --- Worker options, retry and quarantine ------------------------------
-
-  /// Options a per-output worker runs with, in either execution mode: no
-  /// hooks, no nested parallelism, no nested isolation.
-  SysecoOptions makeWorkerOptions() const {
-    SysecoOptions workerOpt = opt_;
-    workerOpt.planHook = nullptr;
-    workerOpt.checkpointHook = nullptr;
-    workerOpt.resumePlan = nullptr;
-    workerOpt.jobs = 1;
-    workerOpt.isolate = false;
-    workerOpt.workers.clear();
-    workerOpt.fleetEventHook = nullptr;
-    // Certification and auditing belong to the canonical engine: the commit
-    // path re-proves worker results, and the oracle certifies the final
-    // netlist once - per-worker passes would only skew timings.
-    workerOpt.oracle.enabled = false;
-    workerOpt.audit = AuditLevel::kOff;
-    workerOpt.reproDir.clear();
-    return workerOpt;
-  }
-
   // --- Invariant audits + tri-modal certification (verify/) ---------------
 
   /// Audits the working netlist at a phase boundary. A clean audit is
@@ -1320,12 +1288,6 @@ class Engine {
     // All oracle randomness derives from the run seed so the verdict
     // records are bit-identical across execution modes.
     oopt.seed = opt_.seed ^ 0x0bac1e5eedULL;
-    // The oracle's BDD route runs the engine-wide tuning: in particular
-    // --bdd-reorder=off must restore the legacy identity-order engine
-    // everywhere at once.
-    oopt.bddReorder = opt_.bddReorder;
-    oopt.bddCacheBits = opt_.bddCacheBits;
-    oopt.bddReorderThreshold = opt_.bddReorderThreshold;
     const CertificationOracle oracle(w, spec_, oopt);
 
     // Fan-out: the first-pass certificate of every label-matched pair, on
@@ -1594,7 +1556,7 @@ class Engine {
   /// executor's result byte-identical. Escaping exceptions are contained
   /// into a non-ok Status - a worker reports a task failure, never dies.
   static Result<WorkerPatch> computeTask(
-      const Netlist& base, const Netlist& spec, const SysecoOptions& workerOpt,
+      const Netlist& base, const Netlist& spec, const SysecoOptions& opt,
       std::uint32_t output, const std::vector<std::uint32_t>& protect,
       const NetlistAnalysis* baseAnalysis, const NetlistAnalysis* specAnalysis) {
     if (output >= base.numOutputs())
@@ -1614,9 +1576,12 @@ class Engine {
       // The worker borrows the caller's immutable analyses, protects every
       // planned output the way the sequential cascade protects still-
       // unprocessed ones, and runs unlimited (speculation only runs on
-      // unlimited runs). A produced report is frag's only entry.
+      // unlimited runs). It only runs rectifyOutput, which reads nothing
+      // but the search-shaping options, so the run's options serve as-is:
+      // hooks, transports, audits and the oracle stay the canonical
+      // engine's. A produced report is frag's only entry.
       SysecoDiagnostics frag;
-      Engine eng(base, spec, workerOpt, frag);
+      Engine eng(base, spec, opt, frag);
       eng.baseAnalysis_ = baseAnalysis;
       eng.specAnalysis_ = specAnalysis;
       eng.trackerStore_.emplace(eng.result_.rectified);
@@ -2328,22 +2293,14 @@ class Engine {
   // --- Feasible rectification point-sets via H(t) (§4.2) ------------------
 
   /// Engine tunables for the sampling-domain managers (H(t) / Xi(c)).
-  /// These keep identity order regardless of opt_.bddReorder: their
-  /// variables are sample indices and selector bits - an arbitrary
-  /// encoding with no structure for sifting to exploit - and no root
-  /// provider is registered, so auto-reorder stays disarmed by design
-  /// (the knob governs the monolithic-cone managers: the certification
-  /// oracle's BDD route and, opted in, the exactfix engine). Cache and
-  /// table sizing still apply.
+  /// These keep identity order: their variables are sample indices and
+  /// selector bits - an arbitrary encoding with no structure for sifting
+  /// to exploit - and no root provider is registered, so auto-reorder
+  /// stays disarmed by design (only the certification oracle's
+  /// monolithic-cone BDD route sifts).
   BddConfig samplingBddConfig() const {
     BddConfig cfg;
     cfg.nodeLimit = opt_.bddNodeLimit;
-    if (opt_.bddCacheBits != 0) {
-      cfg.cacheBits = opt_.bddCacheBits;
-      cfg.maxCacheBits = std::max(cfg.maxCacheBits, opt_.bddCacheBits);
-    }
-    if (opt_.bddReorderThreshold != 0)
-      cfg.reorderThreshold = opt_.bddReorderThreshold;
     return cfg;
   }
 
@@ -3245,11 +3202,7 @@ class Engine {
         break;
       }
     }
-    const bool minimize =
-        opt_.minimizePatch == PatchMinimize::kOn ||
-        (opt_.minimizePatch == PatchMinimize::kAuto &&
-         opt_.bddReorder != BddReorder::kOff);
-    if (minimize) minimizePatchLogic();
+    isopMinimizeCones();
     w.sweepDeadLogic();
   }
 
@@ -3261,7 +3214,7 @@ class Engine {
   // cover forgets that history. Every rewrite is SAT-confirmed before the
   // sinks move, so this changes patch *shape*, never function.
 
-  void minimizePatchLogic() {
+  void isopMinimizeCones() {
     Netlist& w = working();
     constexpr std::size_t kMaxLeaves = 12;    // BDD stays trivially small
     constexpr std::size_t kMaxConeGates = 64;
@@ -3506,7 +3459,8 @@ Status validateSysecoOptions(const SysecoOptions& o) {
   if (o.maxChoices == 0) return invalid("maxChoices must be positive");
   if (o.maxRefineIters < 0)
     return invalid("maxRefineIters must be non-negative");
-  if (o.jobs == 0) return invalid("jobs must be positive");
+  if (o.jobs == 0 || o.jobs > static_cast<std::size_t>(kMaxCaseJobs))
+    return invalid("jobs must be in 1.." + std::to_string(kMaxCaseJobs));
   if (o.validationBudget <= 0)
     return invalid("validationBudget must be positive");
   if (o.samplingBudget <= 0) return invalid("samplingBudget must be positive");
@@ -3525,17 +3479,17 @@ Status validateSysecoOptions(const SysecoOptions& o) {
     return invalid("isolateCpuSeconds must be non-negative");
   if (o.isolateBackoffMs < 0.0)
     return invalid("isolateBackoffMs must be non-negative");
-  if (o.bddCacheBits > 28)
-    return invalid("bddCacheBits must be at most 28 (2^28 cache entries)");
-  if (o.oracle.bddCacheBits > 28)
-    return invalid("oracle.bddCacheBits must be at most 28");
-  if (o.oracle.simWords == 0) return invalid("oracle.simWords must be positive");
   if (o.oracle.bddNodeBudget == 0)
     return invalid("oracle.bddNodeBudget must be positive");
-  if (o.oracle.satConflictBudget != -1 && o.oracle.satConflictBudget <= 0)
-    return invalid("oracle.satConflictBudget must be -1 (unbounded) or positive");
   if (!o.workers.empty() && o.isolate)
     return invalid("workers and isolate are mutually exclusive transports");
+  // Governed runs take the sequential in-process cascade, so they could
+  // honor neither transport: fail closed instead of running uncontained.
+  if ((o.isolate || !o.workers.empty()) &&
+      (o.deadlineSeconds > 0.0 || o.totalConflictBudget > 0 ||
+       o.totalBddNodeBudget > 0))
+    return invalid(std::string(o.isolate ? "isolate" : "workers") +
+                   " requires an unlimited run (no deadline or budget)");
   if (o.fleetLeaseSeconds <= 0.0)
     return invalid("fleetLeaseSeconds must be positive");
   if (o.fleetConnectTimeoutMs <= 0)

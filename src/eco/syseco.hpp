@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bdd/bdd.hpp"
 #include "eco/patch.hpp"
 #include "netlist/netlist.hpp"
 #include "util/status.hpp"
@@ -73,16 +72,9 @@ struct ResumePlan {
   /// The original unpatched implementation (CRC-verified against the
   /// journal). Speculative per-output workers always search from this base
   /// snapshot, so a resumed run reproduces the uninterrupted run's worker
-  /// results exactly. Empty (no outputs) on hand-built plans, which forces
-  /// the sequential path.
+  /// results exactly.
   Netlist base;
 };
-
-/// Minato-Morreale ISOP patch minimization in the sweep phase.
-///  * kAuto: follow bddReorder - on unless the engine runs in its legacy
-///    bit-identical mode (bddReorder == kOff).
-///  * kOn / kOff: force.
-enum class PatchMinimize : std::uint8_t { kAuto = 0, kOn = 1, kOff = 2 };
 
 struct SysecoOptions {
   std::size_t numSamples = 64;       ///< sampling-domain size N
@@ -95,20 +87,6 @@ struct SysecoOptions {
   std::int64_t validationBudget = 500000;  ///< SAT conflicts per validation
   std::int64_t samplingBudget = 100000;    ///< SAT conflicts for sampling
   std::size_t bddNodeLimit = 1u << 22;
-
-  // --- BDD engine tuning ---------------------------------------------------
-  /// Dynamic variable reordering (sifting) for the monolithic-cone BDD
-  /// managers. The engine's own sampling-domain managers always keep
-  /// identity order (sample-index variables carry no structure for
-  /// sifting); the knob governs the certification oracle's BDD route,
-  /// which inherits it unless OracleOptions overrides. kOff restores the
-  /// pre-reordering engine bit-for-bit (node creation order, budget trip
-  /// points, governor charges) and switches PatchMinimize::kAuto off, so
-  /// `--bdd-reorder=off` reproduces legacy verdict records exactly.
-  BddReorder bddReorder = BddReorder::kSift;
-  std::uint32_t bddCacheBits = 0;       ///< computed-cache 2^bits; 0 = default
-  std::size_t bddReorderThreshold = 0;  ///< auto-reorder arm point; 0 = default
-  PatchMinimize minimizePatch = PatchMinimize::kAuto;
 
   bool useErrorDomainSampling = true;  ///< ablation B: error vs uniform
   bool useUtilityHeuristic = true;     ///< ablation C: utility ranking
@@ -133,7 +111,7 @@ struct SysecoOptions {
   /// inherently schedule-dependent; they ignore jobs and stay sequential.
   /// A worker that throws fails its attempt and is retried, then
   /// quarantined, under the isolate retry knobs below - like every
-  /// executor.
+  /// executor. Must lie in 1..kMaxCaseJobs (eco/isolate.hpp).
   std::size_t jobs = 1;
 
   // --- Fault-contained subprocess isolation -------------------------------
@@ -145,9 +123,10 @@ struct SysecoOptions {
   /// to the guaranteed cone-clone fallback instead of aborting the run.
   /// Successful isolated runs are bit-identical to in-process `jobs` runs
   /// (the same plan-ordered speculative commits replay the same worker
-  /// results). Like `jobs`, isolation requires an unlimited run; governed
-  /// runs ignore it and stay sequential. None of the isolate knobs shape
-  /// the search, so they are excluded from the resume fingerprint.
+  /// results). Isolation requires an unlimited run: a deadline or budget
+  /// together with `isolate` is rejected as invalid input rather than run
+  /// unisolated. None of the isolate knobs shape the search, so they are
+  /// excluded from the resume fingerprint.
   bool isolate = false;
   int isolateMaxAttempts = 3;        ///< worker attempts before quarantine
   double isolateWallSeconds = 120.0; ///< per-attempt wall deadline (0 = off)
@@ -169,20 +148,20 @@ struct SysecoOptions {
   /// in-process execution instead of failing. Successful fleet runs are
   /// bit-identical to in-process `jobs` runs (same plan-ordered commits of
   /// the same pure per-output results). Mutually exclusive with `isolate`;
-  /// like it, governed runs ignore the fleet and stay sequential, and none
-  /// of these knobs enter the resume fingerprint.
+  /// like it, the fleet requires an unlimited run (a deadline or budget
+  /// with `workers` is invalid input), and none of these knobs enter the
+  /// resume fingerprint.
   std::vector<std::string> workers;  ///< agent endpoints, "host:port"
   double fleetLeaseSeconds = 10.0;   ///< task lease; heartbeats renew it
   int fleetConnectTimeoutMs = 2000;  ///< per-connect deadline
   int fleetMinWorkers = 1;           ///< usable agents below this: degrade
 
   // --- Certification oracle + invariant auditing --------------------------
-  /// Tri-modal certification (verify/oracle.hpp) replaces the legacy
-  /// single-route final verification: every label-matched output is
-  /// re-proven through SAT (fresh miter), BDD (within node budget) and
-  /// simulation, and a refuted output is quarantined to the cone-clone
-  /// fallback instead of shipped wrong. `oracle.enabled = false` reverts
-  /// to the legacy SAT-only check. Neither the oracle knobs nor the audit
+  /// Tri-modal certification (verify/oracle.hpp) is the final
+  /// verification of every run: each label-matched output is re-proven
+  /// through SAT (fresh miter), BDD (within node budget) and simulation,
+  /// and a refuted output is quarantined to the cone-clone fallback
+  /// instead of shipped wrong. Neither the oracle knobs nor the audit
   /// level shape the search, so - like the isolate knobs - they are
   /// excluded from the resume fingerprint.
   OracleOptions oracle;

@@ -145,6 +145,11 @@ Result<BatchOutcome> runBatch(const BatchOptions& opt) {
                                 "(--batch-state DIR or --resume DIR)");
   if (opt.selfExe.empty())
     return Status::invalidInput("batch driver needs its worker binary path");
+  // The default reaches every manifest case without "jobs", and from there
+  // the worker's argv: bound it like a manifest entry.
+  if (opt.defaultJobs < 1 || opt.defaultJobs > kMaxCaseJobs)
+    return Status::invalidInput("--jobs must be in 1.." +
+                                std::to_string(kMaxCaseJobs));
   ioretry::ignoreSigpipeOnce();
 
   Result<std::string> manifestText = readFileText(opt.manifestPath);

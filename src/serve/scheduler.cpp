@@ -52,7 +52,7 @@ std::string verdictsFileText(const std::string& record) {
 }
 
 /// The last verdicts record a finished local worker left in its engine
-/// journal (empty when the run had no oracle or died early).
+/// journal (empty when the run died before certification).
 std::string verdictsRecordFromJournal(const std::string& journalDir) {
   Result<JournalScan> scan = scanJournal(journalDir);
   if (!scan.isOk()) return {};

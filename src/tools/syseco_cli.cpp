@@ -20,14 +20,17 @@
 //   --uniform-sampling  ablation: uniform instead of error-domain samples
 //   --no-sweep          disable the patch-input sweeping post-process
 //   --jobs N            worker threads for per-output rectification
-//                       (default 1; results are bit-identical for every N.
-//                       Runs with a deadline or budget stay sequential)
+//                       (1..256, default 1; results are bit-identical for
+//                       every N. Runs with a deadline or budget stay
+//                       sequential)
 //   --isolate           run per-output workers in forked, rlimit-sandboxed
 //                       subprocesses (syseco only); a worker crash, OOM,
 //                       timeout or garbled reply is retried with backoff and
 //                       finally quarantined to the cone-clone fallback
 //                       instead of taking the run down. Clean isolated runs
-//                       are bit-identical to in-process --jobs runs.
+//                       are bit-identical to in-process --jobs runs. Needs
+//                       an unlimited run: with a deadline or budget it is
+//                       rejected (exit 3).
 //   --isolate-max-attempts N  contained failures before quarantine (def. 3)
 //   --isolate-mem-mb N        per-worker RLIMIT_AS ceiling (0 = inherit)
 //   --isolate-cpu-s S         per-worker RLIMIT_CPU ceiling (0 = inherit)
@@ -46,7 +49,8 @@
 //                       discarded by epoch. When fewer than
 //                       --fleet-min-workers agents remain usable the run
 //                       degrades to in-process execution. Verdict records
-//                       are bit-identical to local --jobs runs.
+//                       are bit-identical to local --jobs runs. Like
+//                       --isolate, rejected with a deadline or budget.
 //   --fleet-lease-ms MS       per-task lease (default 10000); an agent
 //                             heartbeats every quarter-lease
 //   --fleet-min-workers N     usable-agent threshold before degrading to
@@ -79,6 +83,7 @@
 //                       jobs                                  (default 16)
 //   --serve-max-tenant N   daemon: per-tenant resident-job cap (default 8)
 //   --serve-max-bytes-mb N daemon: resident payload watermark (default 256)
+//                       (pool size and the three caps must be >= 1)
 //   --serve-attempts N  daemon: worker deaths per job before quarantine
 //                       (default 3)
 //                       With --workers, plain queued jobs go to an idle
@@ -131,8 +136,6 @@
 //   --audit LEVEL       netlist invariant auditing: off|boundaries|paranoid
 //                       (default off; boundaries checks the working netlist
 //                       at phase boundaries, paranoid adds deep checks)
-//   --no-oracle         use the legacy single-route SAT verification instead
-//                       of the tri-modal certification oracle (syseco only)
 //   --oracle-bdd-budget N  oracle BDD-route node budget (default 1048576;
 //                       exhaustion reports skipped(budget), never a verdict)
 //   --repro-dir DIR     package every oracle disagreement into an atomic
@@ -140,6 +143,9 @@
 //                       counterexample, build info) under DIR
 //   --version           print build info (git hash, compiler) and exit
 //   --verbose           trace the search to stderr
+//
+// Unsigned values (counts, sizes, seeds) must be plain decimal digits: a
+// negative value is a bad value (exit 3), never a wrapped-around huge one.
 //
 // Exit codes:
 //   0   rectification SAT-verified, no resource limit interfered
@@ -301,6 +307,24 @@ void writeFailureReport(const std::string& reportPath,
                  reportPath.c_str(), s.toString().c_str());
 }
 
+/// Parses an unsigned option value. std::stoull would accept "-1" and wrap
+/// it to 2^64-1, so anything but plain decimal digits is a bad value.
+std::uint64_t parseUnsigned(const std::string& text) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos)
+    throw std::invalid_argument("expected a non-negative integer, got '" +
+                                text + "'");
+  return std::stoull(text);
+}
+
+/// parseUnsigned for counts where 0 would disable the feature outright
+/// (a daemon with a zero cap refuses every job).
+std::uint64_t parsePositive(const std::string& text) {
+  const std::uint64_t v = parseUnsigned(text);
+  if (v == 0) throw std::invalid_argument("must be >= 1");
+  return v;
+}
+
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --impl FILE --spec FILE [--engine "
@@ -309,10 +333,6 @@ void writeFailureReport(const std::string& reportPath,
                "[--max-points M]\n"
                "          [--deadline-ms MS] [--total-conflict-budget N] "
                "[--bdd-node-budget N]\n"
-               "          [--bdd-reorder off|sift|sift-converge] "
-               "[--bdd-cache-bits N]\n"
-               "          [--bdd-reorder-threshold N] "
-               "[--patch-minimize auto|on|off]\n"
                "          [--level-driven] [--uniform-sampling] [--no-sweep]"
                "\n          [--jobs N] [--isolate] [--isolate-max-attempts N]"
                " [--isolate-mem-mb N]\n"
@@ -323,8 +343,7 @@ void writeFailureReport(const std::string& reportPath,
                "          [--fleet-connect-timeout-ms MS]\n"
                "          [--journal DIR] [--resume DIR] "
                "[--audit off|boundaries|paranoid]\n"
-               "          [--no-oracle] [--oracle-bdd-budget N] "
-               "[--repro-dir DIR]\n"
+               "          [--oracle-bdd-budget N] [--repro-dir DIR]\n"
                "          [--fault-plan FILE] [--seed S] [--version] "
                "[--verbose]\n"
                "       %s --serve-worker PORT [--serve-once] "
@@ -370,9 +389,6 @@ int main(int argc, char** argv) {
   std::string batchManifest, batchStateDir;
   bool detach = false;
   SysecoOptions opt;
-  // The exact-fix baseline keeps reordering off unless the user asks: its
-  // ISOP patch shapes depend on the variable order.
-  bool bddReorderSet = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -399,8 +415,7 @@ int main(int argc, char** argv) {
       else if (arg == "--out") outPath = value();
       else if (arg == "--report") reportPath = value();
       else if (arg == "--engine") engine = value();
-      else if (arg == "--samples") opt.numSamples =
-          static_cast<std::size_t>(std::stoul(value()));
+      else if (arg == "--samples") opt.numSamples = parseUnsigned(value());
       else if (arg == "--max-points") opt.maxPoints = std::stoi(value());
       else if (arg == "--deadline-ms")
         opt.deadlineSeconds = std::stod(value()) / 1000.0;
@@ -408,39 +423,15 @@ int main(int argc, char** argv) {
         opt.totalConflictBudget = std::stoll(value());
       else if (arg == "--bdd-node-budget")
         opt.totalBddNodeBudget = std::stoll(value());
-      else if (arg == "--bdd-reorder") {
-        const std::string mode = value();
-        if (mode == "off") opt.bddReorder = BddReorder::kOff;
-        else if (mode == "sift") opt.bddReorder = BddReorder::kSift;
-        else if (mode == "sift-converge")
-          opt.bddReorder = BddReorder::kSiftConverge;
-        else throw std::invalid_argument(
-            "expected off|sift|sift-converge, got '" + mode + "'");
-        bddReorderSet = true;
-      }
-      else if (arg == "--bdd-cache-bits")
-        opt.bddCacheBits = static_cast<std::uint32_t>(std::stoul(value()));
-      else if (arg == "--bdd-reorder-threshold")
-        opt.bddReorderThreshold =
-            static_cast<std::size_t>(std::stoull(value()));
-      else if (arg == "--patch-minimize") {
-        const std::string mode = value();
-        if (mode == "auto") opt.minimizePatch = PatchMinimize::kAuto;
-        else if (mode == "on") opt.minimizePatch = PatchMinimize::kOn;
-        else if (mode == "off") opt.minimizePatch = PatchMinimize::kOff;
-        else throw std::invalid_argument("expected auto|on|off, got '" +
-                                         mode + "'");
-      }
       else if (arg == "--level-driven") opt.levelDriven = true;
       else if (arg == "--uniform-sampling") opt.useErrorDomainSampling = false;
       else if (arg == "--no-sweep") opt.enableSweeping = false;
-      else if (arg == "--jobs") opt.jobs =
-          static_cast<std::size_t>(std::stoul(value()));
+      else if (arg == "--jobs") opt.jobs = parseUnsigned(value());
       else if (arg == "--isolate") opt.isolate = true;
       else if (arg == "--isolate-max-attempts")
         opt.isolateMaxAttempts = std::stoi(value());
       else if (arg == "--isolate-mem-mb")
-        opt.isolateMemoryBytes = std::stoull(value()) * 1024 * 1024;
+        opt.isolateMemoryBytes = parseUnsigned(value()) * 1024 * 1024;
       else if (arg == "--isolate-cpu-s")
         opt.isolateCpuSeconds = std::stod(value());
       else if (arg == "--isolate-wall-ms")
@@ -474,30 +465,21 @@ int main(int argc, char** argv) {
           throw std::invalid_argument("port must be in 0..65535");
       }
       else if (arg == "--serve-once") serveOnce = true;
-      else if (arg == "--serve-cache-slots") {
-        serveCacheSlots = static_cast<std::size_t>(std::stoul(value()));
-        if (serveCacheSlots == 0)
-          throw std::invalid_argument("cache slots must be >= 1");
-      }
+      else if (arg == "--serve-cache-slots")
+        serveCacheSlots = parsePositive(value());
       else if (arg == "--serve") {
         daemonPort = std::stoi(value());
         if (daemonPort < 0 || daemonPort > 65535)
           throw std::invalid_argument("port must be in 0..65535");
       }
       else if (arg == "--serve-state") serveStateDir = value();
-      else if (arg == "--serve-pool") {
-        servePool = static_cast<std::size_t>(std::stoul(value()));
-        if (servePool == 0)
-          throw std::invalid_argument("pool size must be >= 1");
-      }
+      else if (arg == "--serve-pool") servePool = parsePositive(value());
       else if (arg == "--serve-max-jobs")
-        serveLimits.maxResidentJobs =
-            static_cast<std::size_t>(std::stoul(value()));
+        serveLimits.maxResidentJobs = parsePositive(value());
       else if (arg == "--serve-max-tenant")
-        serveLimits.maxPerTenant =
-            static_cast<std::size_t>(std::stoul(value()));
+        serveLimits.maxPerTenant = parsePositive(value());
       else if (arg == "--serve-max-bytes-mb")
-        serveLimits.maxResidentBytes = std::stoull(value()) * 1024 * 1024;
+        serveLimits.maxResidentBytes = parsePositive(value()) * 1024 * 1024;
       else if (arg == "--serve-attempts") {
         serveAttempts = std::stoi(value());
         if (serveAttempts < 1)
@@ -514,7 +496,7 @@ int main(int argc, char** argv) {
       else if (arg == "--submit-fault") submitFault = value();
       else if (arg == "--fault-plan") faultPlanPath = value();
       else if (arg == "--port-file") portFilePath = value();
-      else if (arg == "--seed") opt.seed = std::stoull(value());
+      else if (arg == "--seed") opt.seed = parseUnsigned(value());
       else if (arg == "--journal") journalDir = value();
       else if (arg == "--resume") resumeDir = value();
       else if (arg == "--audit") {
@@ -524,10 +506,8 @@ int main(int argc, char** argv) {
             "expected off|boundaries|paranoid, got '" + level + "'");
         opt.audit = *parsed;
       }
-      else if (arg == "--no-oracle") opt.oracle.enabled = false;
       else if (arg == "--oracle-bdd-budget")
-        opt.oracle.bddNodeBudget =
-            static_cast<std::size_t>(std::stoull(value()));
+        opt.oracle.bddNodeBudget = parseUnsigned(value());
       else if (arg == "--repro-dir") opt.reproDir = value();
       else if (arg == "--version") {
         std::printf("%s\n", buildInfoLine().c_str());
@@ -987,7 +967,7 @@ int main(int argc, char** argv) {
       // Journal the oracle's verdicts: the record is timing-free, so
       // --jobs N, --isolate and --resume runs of the same inputs append
       // bit-identical payloads (the resume parser keeps the last one).
-      if (!journalDir.empty() && opt.oracle.enabled) {
+      if (!journalDir.empty()) {
         const Status s =
             journal.append(serializeVerdicts(makeVerdictsRecord(diag)));
         if (!s.isOk())
@@ -1003,9 +983,6 @@ int main(int argc, char** argv) {
     } else if (engine == "exactfix") {
       ExactFixOptions x;
       x.seed = opt.seed;
-      if (bddReorderSet) x.bddReorder = opt.bddReorder;
-      x.bddCacheBits = opt.bddCacheBits;
-      x.bddReorderThreshold = opt.bddReorderThreshold;
       result = runExactFix(impl, spec, x);
     } else if (engine == "interpfix") {
       InterpFixOptions x;
@@ -1039,7 +1016,7 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("runtime: %s\n", formatHms(result.seconds).c_str());
-    const bool oracleRan = engine == "syseco" && opt.oracle.enabled;
+    const bool oracleRan = engine == "syseco";
     std::printf("verification: %s\n",
                 result.success
                     ? (oracleRan ? "CERTIFIED (SAT+BDD+simulation)"
@@ -1076,8 +1053,7 @@ int main(int argc, char** argv) {
       // Atomic temp-file + rename write: a crash mid-report leaves either
       // the previous report or none, never a truncated JSON document.
       std::ostringstream rf;
-      writeRunReport(rf, engine, result, diag, opt.audit, oracleRan,
-                     exitCode);
+      writeRunReport(rf, engine, result, diag, opt.audit, exitCode);
       const Status s = writeFileAtomic(reportPath, rf.str());
       if (!s.isOk()) {
         std::fprintf(stderr, "error: cannot write report file %s: %s\n",

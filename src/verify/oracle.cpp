@@ -14,6 +14,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Simulation route sizing: the mass-random pass runs 64 * kSimWords
+/// label-correlated patterns, the directed pass at most kSimDirectedMax
+/// patterns confined to the output's support.
+constexpr std::size_t kSimWords = 8;
+constexpr std::size_t kSimDirectedMax = 64;
+
 double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -117,7 +123,7 @@ RouteResult CertificationOracle::satRoute(std::uint32_t o, std::uint32_t op,
   Rng rng(opt_.seed ^ 0x5a7c3c0de0ULL ^
           (0x9e3779b97f4a7c15ULL * (o + 1)));
   const Solver::Result verdict =
-      pe.solveDiffSwept(o, op, opt_.satConflictBudget, rng);
+      pe.solveDiffSwept(o, op, /*conflictBudget=*/-1, rng);
   switch (verdict) {
     case Solver::Result::Unsat:
       result.verdict = RouteVerdict::kEquivalent;
@@ -177,13 +183,10 @@ RouteResult CertificationOracle::bddRoute(std::uint32_t o, std::uint32_t op,
   }
   BddConfig cfg;
   cfg.nodeLimit = opt_.bddNodeBudget;
-  cfg.reorder = opt_.bddReorder;
-  if (opt_.bddCacheBits != 0) {
-    cfg.cacheBits = opt_.bddCacheBits;
-    cfg.maxCacheBits = std::max(cfg.maxCacheBits, opt_.bddCacheBits);
-  }
-  if (opt_.bddReorderThreshold != 0)
-    cfg.reorderThreshold = opt_.bddReorderThreshold;
+  // Sifting: monolithic output cones at identity order are exactly where
+  // dynamic reordering pays, and the verdict is order-independent (a cone
+  // either completes - same function - or trips the same node budget).
+  cfg.reorder = BddReorder::kSift;
   Bdd mgr(numVars, cfg);
   // Reorder roots: the in-progress cone frontier plus every finished
   // function still held across the remaining operations.
@@ -237,25 +240,24 @@ RouteResult CertificationOracle::simRoute(std::uint32_t o, std::uint32_t op,
                                           InputPattern* cex) const {
   const Clock::time_point start = Clock::now();
   RouteResult result;
-  const std::size_t words = opt_.simWords ? opt_.simWords : 1;
   Rng rng(opt_.seed ^ 0x51u ^ (0x9e3779b97f4a7c15ULL * (o + 1)));
 
   // Pass 1: mass random, label-correlated. Spec inputs with no impl
   // counterpart stay 0 (the Simulator zero-initializes), matching
   // mapToSpec's correspondence.
-  Simulator implSim(impl_, words);
-  Simulator specSim(spec_, words);
+  Simulator implSim(impl_, kSimWords);
+  Simulator specSim(spec_, kSimWords);
   implSim.randomizeInputs(rng);
   for (std::uint32_t i = 0; i < spec_.numInputs(); ++i) {
     const std::uint32_t ii = specInputFromImpl_[i];
     if (ii == kNullId) continue;
-    for (std::size_t w = 0; w < words; ++w)
+    for (std::size_t w = 0; w < kSimWords; ++w)
       specSim.setInputWord(i, w, implSim.word(impl_.inputNet(ii), w));
   }
   implSim.run();
   specSim.run();
   std::size_t checked = implSim.numPatterns();
-  for (std::size_t w = 0; w < words; ++w) {
+  for (std::size_t w = 0; w < kSimWords; ++w) {
     const std::uint64_t diff =
         implSim.word(impl_.outputNet(o), w) ^ specSim.word(spec_.outputNet(op), w);
     if (diff == 0) continue;
@@ -270,7 +272,7 @@ RouteResult CertificationOracle::simRoute(std::uint32_t o, std::uint32_t op,
 
   // Pass 2: directed at the output's support - walking-one and
   // walking-zero over the support inputs, then random-on-support-only
-  // patterns, capped at simDirectedMax.
+  // patterns, capped at kSimDirectedMax.
   const std::vector<std::uint32_t> sup = impl_.support(impl_.outputNet(o));
   std::vector<InputPattern> directed;
   const InputPattern zeros(impl_.numInputs(), 0);
@@ -278,7 +280,7 @@ RouteResult CertificationOracle::simRoute(std::uint32_t o, std::uint32_t op,
   for (std::uint32_t pi : sup) ones[pi] = 1;
   directed.push_back(ones);
   for (std::uint32_t pi : sup) {
-    if (directed.size() + 1 >= opt_.simDirectedMax) break;
+    if (directed.size() + 1 >= kSimDirectedMax) break;
     InputPattern one = zeros;
     one[pi] = 1;
     directed.push_back(one);  // walking one
@@ -286,7 +288,7 @@ RouteResult CertificationOracle::simRoute(std::uint32_t o, std::uint32_t op,
     zero[pi] = 0;
     directed.push_back(zero);  // walking zero
   }
-  while (directed.size() < opt_.simDirectedMax) {
+  while (directed.size() < kSimDirectedMax) {
     InputPattern p = zeros;
     for (std::uint32_t pi : sup) p[pi] = rng.flip() ? 1 : 0;
     directed.push_back(std::move(p));

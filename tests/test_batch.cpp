@@ -8,6 +8,8 @@
 // must drain to bit-identical artifacts.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -410,6 +412,29 @@ serve::BatchOptions baseOptions(const std::string& manifest,
   opt.fleetLeaseSeconds = 10.0;
   opt.fleetConnectTimeoutMs = 500;
   return opt;
+}
+
+TEST(BatchEndToEnd, OutOfRangeDefaultJobsIsRejectedBeforeAnyCaseRegisters) {
+  const std::string dir = freshDir("jobs_range");
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const std::string manifest = writeManifest(dir);
+  serve::BatchOptions opt = baseOptions(manifest, dir + "/state");
+  for (std::int64_t jobs : {std::int64_t{0}, kMaxCaseJobs + 1}) {
+    opt.defaultJobs = jobs;
+    const Result<serve::BatchOutcome> ran = serve::runBatch(opt);
+    ASSERT_FALSE(ran.isOk()) << jobs;
+    EXPECT_EQ(ran.status().code(), StatusCode::kInvalidInput) << jobs;
+  }
+  // The CLI's --jobs is the sweep default: exit 3, nothing registered.
+  const std::string cmd = std::string(SYSECO_CLI_BIN) + " --batch " +
+                          manifest + " --batch-state " + dir +
+                          "/cli --jobs 257 > /dev/null 2>&1";
+  const int rc = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 3);
+  struct stat st;
+  EXPECT_NE(::stat((dir + "/state").c_str(), &st), 0);
+  EXPECT_NE(::stat((dir + "/cli").c_str(), &st), 0);
 }
 
 TEST(BatchEndToEnd, RemoteSweepMatchesTheLocalPoolBitForBit) {

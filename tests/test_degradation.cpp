@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
 #include <string>
 
+#include "eco/isolate.hpp"
 #include "eco/patch.hpp"
 #include "eco/syseco.hpp"
 #include "gen/eco_case.hpp"
@@ -240,6 +244,9 @@ TEST_F(DegradationTest, NonsensicalOptionsAreRejected) {
   o = {};
   o.totalBddNodeBudget = -1;
   rejects(o);
+  o = {};
+  o.jobs = static_cast<std::size_t>(kMaxCaseJobs) + 1;
+  rejects(o);
 }
 
 TEST_F(DegradationTest, CheckedEntryPointReturnsInvalidInput) {
@@ -263,6 +270,47 @@ TEST_F(DegradationTest, ThrowingEntryPointThrowsStatusError) {
     EXPECT_EQ(e.status().code(), StatusCode::kInvalidInput);
   }
 }
+
+// --- CLI option parsing ------------------------------------------------------
+
+#ifdef SYSECO_CLI_BIN
+
+/// Exit code of the CLI on `args`; every case here fails before a run
+/// starts, so nothing is searched or written.
+int runCliExit(const std::string& args) {
+  const std::string cmd =
+      std::string(SYSECO_CLI_BIN) + " " + args + " > /dev/null 2>&1";
+  const int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(CliOptions, NegativeUnsignedValuesAreBadValuesNotWrapped) {
+  for (const char* args :
+       {"--samples -1", "--jobs -1", "--seed -5", "--isolate-mem-mb -1",
+        "--oracle-bdd-budget -1", "--serve-pool -1",
+        "--serve-cache-slots -2", "--samples=-1", "--samples ' -1'"})
+    EXPECT_EQ(runCliExit(args), 3) << args;
+}
+
+TEST(CliOptions, ZeroDaemonCapsAreRejected) {
+  for (const char* args : {"--serve-max-jobs 0", "--serve-max-tenant 0",
+                           "--serve-max-bytes-mb 0", "--serve-pool 0"})
+    EXPECT_EQ(runCliExit(args), 3) << args;
+}
+
+TEST(CliOptions, RemovedEngineFlagsAreUnknownOptions) {
+  // With a valid pair, a still-known flag would start a run; a removed one
+  // must stop at parse time as an unknown option.
+  const std::string pair = std::string("--impl ") + SYSECO_SOURCE_DIR +
+                           "/data/alu_impl.blif --spec " + SYSECO_SOURCE_DIR +
+                           "/data/alu_spec.blif ";
+  for (const char* flag :
+       {"--no-oracle", "--bdd-reorder off", "--bdd-cache-bits 14",
+        "--bdd-reorder-threshold 4096", "--patch-minimize on"})
+    EXPECT_EQ(runCliExit(pair + flag), 2) << flag;
+}
+
+#endif  // SYSECO_CLI_BIN
 
 }  // namespace
 }  // namespace syseco

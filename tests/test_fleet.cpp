@@ -933,6 +933,9 @@ TEST(FleetOptions, InvalidFleetKnobsAreRejectedNotUndefined) {
   opt.fleetConnectTimeoutMs = 2000;
   opt.fleetMinWorkers = 0;
   rejects(opt, "zero min workers");
+  opt.fleetMinWorkers = 1;
+  opt.totalConflictBudget = 1000;
+  rejects(opt, "workers on a governed run");
 }
 
 // --- End-to-end through the CLI binary ------------------------------------

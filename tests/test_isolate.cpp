@@ -483,6 +483,13 @@ TEST(Isolate, InvalidKnobsAreRejectedNotUndefined) {
   opt.isolateMaxAttempts = 3;
   opt.isolateBackoffMs = -1.0;
   EXPECT_FALSE(runSysecoChecked(c.impl, c.spec, opt).isOk());
+  // A governed run would take the in-process cascade: isolation could not
+  // contain a crash there, so the combination is rejected outright.
+  opt.isolateBackoffMs = 100.0;
+  opt.deadlineSeconds = 60.0;
+  const Result<EcoResult> governed = runSysecoChecked(c.impl, c.spec, opt);
+  ASSERT_FALSE(governed.isOk());
+  EXPECT_EQ(governed.status().code(), StatusCode::kInvalidInput);
 }
 
 // --- End-to-end through the CLI binary ------------------------------------

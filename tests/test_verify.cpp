@@ -460,15 +460,6 @@ TEST_F(VerifyTest, CleanRunWithoutReproDirStillQuarantinesWrongPatch) {
   EXPECT_TRUE(verifyAllOutputs(res.rectified, aluSpec()));
 }
 
-TEST_F(VerifyTest, LegacyNoOraclePathStillVerifies) {
-  SysecoOptions opt;
-  opt.oracle.enabled = false;
-  SysecoDiagnostics diag;
-  const EcoResult res = runSyseco(aluImpl(), aluSpec(), opt, &diag);
-  EXPECT_TRUE(res.success);
-  EXPECT_TRUE(diag.certificates.empty());
-}
-
 TEST_F(VerifyTest, EngineBoundaryAuditsAreRecordedClean) {
   SysecoOptions opt;
   opt.audit = AuditLevel::kParanoid;
