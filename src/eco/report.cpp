@@ -43,12 +43,13 @@ void writeRunReport(std::ostream& os, const std::string& engine,
      << ", \"fallback\": " << diag.secondsFallback
      << ", \"sweep\": " << diag.secondsSweep
      << ", \"verify\": " << diag.secondsVerifyCpu << "},\n";
-  // Speculative work thrown away (not in the phase totals above). Both
+  // Speculative work thrown away (not in the phase totals above). These
   // figures depend on task scheduling, so - like timing - they differ
   // across --jobs, --isolate and --resume runs of the same case.
   os << "  \"speculation\": {\"frontier_skipped_tasks\": "
      << diag.frontierSkippedTasks
      << ", \"discarded_seconds\": " << diag.secondsDiscardedSpeculation
+     << ", \"cyclic_replay_redos\": " << diag.cyclicReplayRedos
      << "},\n";
   os << "  \"sweep\": {\"merges\": " << diag.sweepMerges
      << ", \"isop_rewrites\": " << diag.isopRewrites

@@ -1184,6 +1184,7 @@ class Engine {
       // rewired; that is a conflict too, and must never reach the encoder.
       Timer phase;
       bool ok = w.isAcyclic();
+      if (!ok) ++diag_.cyclicReplayRedos;
       if (ok) {
         PairEncoding pe(w, spec_);
         pe.setResourceGuard(&commitGuard);

@@ -360,6 +360,10 @@ struct SysecoDiagnostics {
   /// canonical netlist. A running task abandoned at the frontier is not
   /// counted: its result is never read.
   double secondsDiscardedSpeculation = 0.0;
+  /// Worker patches whose replay onto the canonical netlist closed a
+  /// combinational loop through logic earlier commits rewired, so the
+  /// output was rolled back and redone sequentially.
+  std::size_t cyclicReplayRedos = 0;
 
   // Certification-oracle + audit accounting (empty when the oracle is
   // disabled / audits are off).

@@ -8,10 +8,16 @@
 //   .latch                 rejected (combinational ECO scope, paper §2)
 //   .subckt / .gate        rejected (flat covers only)
 //
-// Covers are translated into gate logic: each on-set row becomes an AND of
-// literals, rows are OR-ed; off-set covers ("... 0" rows) are built the
-// same way and complemented. This is enough to exchange circuits with ABC
-// and the ISCAS/ITC benchmark translations commonly shipped as BLIF.
+// A cover that has the shape of one gate becomes that gate, whatever its
+// row order: single-row AND/NAND/NOR, one-hot OR, full-parity XOR/XNOR,
+// the writer's mux, and their off-set duals - so writeBlif followed by
+// readBlif gives back the written gates. A one-row buffer cover onto a
+// primary output (the writer's output alias) names an existing net. Any
+// other cover decodes as sum-of-products: one AND per row over one shared
+// inverter per net, OR-ed, and complemented for an off-set ("... 0")
+// cover. A cover mixing on-set and off-set rows is rejected. This is
+// enough to exchange circuits with ABC and the ISCAS/ITC benchmark
+// translations commonly shipped as BLIF.
 
 #include <iosfwd>
 #include <string>
@@ -30,7 +36,10 @@ Netlist readBlif(std::istream& is);
 /// parse itself never crashes or aborts on hostile input.
 Result<Netlist> readBlifChecked(std::istream& is);
 
-/// Serializes the netlist as BLIF: every gate becomes a .names cover.
+/// Serializes the netlist as BLIF: every gate becomes a .names cover, an
+/// XOR/XNOR of more than 16 inputs a balanced tree of 2-input covers.
+/// Internal nets are named n<id>, suffixed with '_' while that collides
+/// with a primary input or output name.
 void writeBlif(std::ostream& os, const Netlist& netlist,
                const std::string& modelName = "syseco");
 

@@ -30,10 +30,23 @@ inline void hitParseSite(const char* site) {
       case fault::Kind::kDeadlineExceeded:
         throw StatusError(Status::deadlineExceeded(
             std::string("fault injected at ") + site));
-      case fault::Kind::kBddBlowup:
-        break;  // meaningless in a parser; ignore
       case fault::Kind::kCrash:
         break;  // unreachable: Injector::fire exits before returning
+      // Meaningless in a parser; ignore.
+      case fault::Kind::kBddBlowup:
+      case fault::Kind::kOom:
+      case fault::Kind::kHang:
+      case fault::Kind::kGarbageIpc:
+      case fault::Kind::kWrongPatch:
+      case fault::Kind::kNetTruncate:
+      case fault::Kind::kNetReset:
+      case fault::Kind::kNetDelay:
+      case fault::Kind::kEnospc:
+      case fault::Kind::kEio:
+      case fault::Kind::kShortWrite:
+      case fault::Kind::kFsyncFail:
+      case fault::Kind::kTornFrame:
+        break;
     }
   }
 }

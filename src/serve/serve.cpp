@@ -39,10 +39,12 @@ class Daemon {
 
   void acceptClients(int listenFd);
   void serviceConnections();
+  // Each returns false when the session must be dropped.
   bool handleFrame(Conn& conn, const ipc::Frame& frame);
-  void handleSubmit(Conn& conn, const ipc::Frame& frame);
-  void handleStatus(Conn& conn, const ipc::Frame& frame);
-  void handleCancel(Conn& conn, const ipc::Frame& frame);
+  bool handleSubmit(Conn& conn, const ipc::Frame& frame);
+  bool handleStatus(Conn& conn, const ipc::Frame& frame);
+  bool handleCancel(Conn& conn, const ipc::Frame& frame);
+  bool reply(Conn& conn, std::uint32_t type, const std::string& payload);
   void dropConnection(Conn& conn);
   JobState stateOf(Job& job, bool withArtifacts);
 
@@ -154,14 +156,11 @@ void Daemon::serviceConnections() {
 bool Daemon::handleFrame(Conn& conn, const ipc::Frame& frame) {
   switch (frame.type) {
     case ipc::kTypeServeSubmit:
-      handleSubmit(conn, frame);
-      return true;
+      return handleSubmit(conn, frame);
     case ipc::kTypeServeStatus:
-      handleStatus(conn, frame);
-      return true;
+      return handleStatus(conn, frame);
     case ipc::kTypeServeCancel:
-      handleCancel(conn, frame);
-      return true;
+      return handleCancel(conn, frame);
     default:
       // A known SEF1 frame that is not a serve verb: a confused peer
       // (e.g. a fleet supervisor dialed the wrong port). Drop the session.
@@ -171,43 +170,41 @@ bool Daemon::handleFrame(Conn& conn, const ipc::Frame& frame) {
   }
 }
 
-void Daemon::handleSubmit(Conn& conn, const ipc::Frame& frame) {
+/// A reply the client cannot receive ends the session: dropConnection
+/// cancels the jobs bound to it, as for any other lost client.
+bool Daemon::reply(Conn& conn, std::uint32_t type,
+                   const std::string& payload) {
+  const Status sent = net::sendFrame(conn.fd, type, payload);
+  if (!sent.isOk()) sched_.log("reply not sent: " + sent.message());
+  return sent.isOk();
+}
+
+bool Daemon::handleSubmit(Conn& conn, const ipc::Frame& frame) {
   auto reject = [&](const std::string& reason, const std::string& detail) {
     Rejected r;
     r.reason = reason;
     r.detail = detail;
     sched_.log("rejected submit (" + reason + "): " + detail);
-    net::sendFrame(conn.fd, ipc::kTypeServeRejected, encodeRejected(r));
+    return reply(conn, ipc::kTypeServeRejected, encodeRejected(r));
   };
-  if (stopped()) {
-    reject("shutting-down", "daemon is draining");
-    return;
-  }
+  if (stopped()) return reject("shutting-down", "daemon is draining");
   Result<SubmitRequest> decoded = decodeSubmit(frame.payload);
-  if (!decoded.isOk()) {
-    reject("bad-request", decoded.status().message());
-    return;
-  }
+  if (!decoded.isOk())
+    return reject("bad-request", decoded.status().message());
   const SubmitRequest req = decoded.take();
   const std::uint64_t bytes = req.implText.size() + req.specText.size();
   Admission adm = sched_.queue().admit(req.tenant, bytes, opt_.limits);
-  if (!adm.admitted) {
-    reject(adm.reason, adm.detail);
-    return;
-  }
-  if (Status s = validatePayload(req); !s.isOk()) {
-    reject("bad-request", s.message());
-    return;
-  }
+  if (!adm.admitted) return reject(adm.reason, adm.detail);
+  if (Status s = validatePayload(req); !s.isOk())
+    return reject("bad-request", s.message());
   Result<Job*> submitted = sched_.queue().submit(req);
   if (!submitted.isOk()) {
     // Durability failure, not a client error: shed the job rather than
     // accept work the WAL cannot attest to.
     sched_.warn("submit persistence failed: " +
                 submitted.status().message());
-    reject("queue-full", "cannot persist job: " +
-                             submitted.status().message());
-    return;
+    return reject("queue-full",
+                  "cannot persist job: " + submitted.status().message());
   }
   Job* job = submitted.take();
   if (!job->detach) conn.ownedJobs.push_back(job->id);
@@ -216,7 +213,7 @@ void Daemon::handleSubmit(Conn& conn, const ipc::Frame& frame) {
              (job->detach ? ", detached)" : ")"));
   Accepted ok;
   ok.job = job->id;
-  net::sendFrame(conn.fd, ipc::kTypeServeAccepted, encodeAccepted(ok));
+  return reply(conn, ipc::kTypeServeAccepted, encodeAccepted(ok));
 }
 
 JobState Daemon::stateOf(Job& job, bool withArtifacts) {
@@ -236,7 +233,7 @@ JobState Daemon::stateOf(Job& job, bool withArtifacts) {
   return st;
 }
 
-void Daemon::handleStatus(Conn& conn, const ipc::Frame& frame) {
+bool Daemon::handleStatus(Conn& conn, const ipc::Frame& frame) {
   Result<JobRef> ref = decodeJobRef(frame.payload);
   JobState st;
   if (!ref.isOk()) {
@@ -249,10 +246,10 @@ void Daemon::handleStatus(Conn& conn, const ipc::Frame& frame) {
     st.state = "unknown";
     st.detail = "no such job";
   }
-  net::sendFrame(conn.fd, ipc::kTypeServeJobState, encodeJobState(st));
+  return reply(conn, ipc::kTypeServeJobState, encodeJobState(st));
 }
 
-void Daemon::handleCancel(Conn& conn, const ipc::Frame& frame) {
+bool Daemon::handleCancel(Conn& conn, const ipc::Frame& frame) {
   Result<JobRef> ref = decodeJobRef(frame.payload);
   JobState st;
   if (!ref.isOk()) {
@@ -266,7 +263,7 @@ void Daemon::handleCancel(Conn& conn, const ipc::Frame& frame) {
     st.state = "unknown";
     st.detail = "no such job";
   }
-  net::sendFrame(conn.fd, ipc::kTypeServeJobState, encodeJobState(st));
+  return reply(conn, ipc::kTypeServeJobState, encodeJobState(st));
 }
 
 void Daemon::dropConnection(Conn& conn) {

@@ -82,7 +82,9 @@ TEST(BddReorder, SiftPreservesFunctionsAcrossRandomManagers) {
       // the same function (isop() self-checks cover bounds internally)
       // and cube-for-cube evaluates inside the onset.
       const auto cubes = mgr.isop(pool[i]);
-      if (counts[i] == 0.0) EXPECT_TRUE(cubes.empty());
+      if (counts[i] == 0.0) {
+        EXPECT_TRUE(cubes.empty());
+      }
       for (const auto& cube : cubes) {
         // Every completion of the cube satisfies the function: check the
         // all-zeros and all-ones completions of the don't-cares.

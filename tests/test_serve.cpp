@@ -668,7 +668,9 @@ Job runToDone(ServeOptions opt, std::uint64_t seed) {
     if (!sub.isOk() || !sub.value().accepted) return Job{};
     Result<JobState> done = client.wait(sub.value().job, 50);
     EXPECT_TRUE(done.isOk()) << done.status().toString();
-    if (done.isOk()) EXPECT_EQ(done.value().state, "done");
+    if (done.isOk()) {
+      EXPECT_EQ(done.value().state, "done");
+    }
   }
   Result<JobQueue> q = JobQueue::open(opt.stateDir);
   EXPECT_TRUE(q.isOk());
