@@ -238,6 +238,34 @@ for PAIR in "alu:$IMPL:$SPEC" "rc:$RC_IMPL:$RC_SPEC"; do
       || { echo "$TAG: --jobs 4 verdict record diverged from --jobs 1"; exit 1; }
 done
 
+# A run governed only by a conflict budget takes the same plan-order
+# supervisor: every planned output searches under a slice fixed from the
+# plan and the root ledger is charged in plan order, so the degraded run
+# is identical at --jobs 1, --jobs 4 and under --isolate.
+for MODE in "j1:--jobs 1" "j4:--jobs 4" "iso:--isolate --jobs 2"; do
+  TAG="${MODE%%:*}"
+  set +e
+  # shellcheck disable=SC2086  # the mode's flags split on purpose
+  "$CLI" --impl "$IMPL" --spec "$SPEC" --total-conflict-budget 200 \
+      ${MODE#*:} --out "$SMOKE/gov_$TAG.blif" --report "$SMOKE/gov_$TAG.json" \
+      > "$SMOKE/gov_$TAG.log" 2>&1
+  rc=$?
+  set -e
+  if [ "$rc" -ne 0 ] && [ "$rc" -ne 4 ]; then
+    echo "governed $TAG run failed (exit $rc)"
+    cat "$SMOKE/gov_$TAG.log"
+    exit 1
+  fi
+done
+for TAG in j4 iso; do
+  cmp "$SMOKE/gov_j1.blif" "$SMOKE/gov_$TAG.blif" \
+      || { echo "governed $TAG netlist diverged from --jobs 1"; exit 1; }
+  if ! diff <(normalize "$SMOKE/gov_j1.json") <(normalize "$SMOKE/gov_$TAG.json"); then
+    echo "governed $TAG report diverged from --jobs 1"
+    exit 1
+  fi
+done
+
 # Inject each fault kind into the worker of the last planned output: the
 # run must complete degraded (exit 4), quarantine exactly that output to the
 # cone-clone fallback with the matching exit cause and attempt count, and

@@ -18,41 +18,68 @@ Var NetlistEncoder::netVar(NetId net) {
   // The netlist may have grown (patch cloning) since construction.
   if (net >= varOfNet_.size()) varOfNet_.resize(netlist_.numNetsTotal(), -1);
   if (varOfNet_[net] >= 0) return varOfNet_[net];
-  // Re-entering a net whose cone is still being encoded means the netlist
-  // has a combinational loop; fail closed instead of recursing forever.
-  SYSECO_CHECK(varOfNet_[net] != kEncoding && "combinational cycle");
-  varOfNet_[net] = kEncoding;
 
-  const Netlist::Net& n = netlist_.net(net);
-  Var v = -1;
-  switch (n.srcKind) {
-    case Netlist::SourceKind::Input: {
-      const std::string& name = netlist_.inputName(n.srcIdx);
-      auto it = inputVarByName_.find(name);
-      if (it == inputVarByName_.end()) {
-        v = solver_.newVar();
-        inputVarByName_.emplace(name, v);
-      } else {
-        v = it->second;
+  // Depth-first post-order over the cone's unencoded nets - each gate's
+  // fanins left to right, then the gate - with an explicit stack, so a
+  // netlist tens of thousands of levels deep cannot overflow the call
+  // stack. Each frame is a net and the next fanin of its driver to visit.
+  std::vector<std::pair<NetId, std::size_t>> stack;
+  const auto open = [&](NetId n) {
+    // Re-entering a net whose cone is still being encoded means the
+    // netlist has a combinational loop; fail closed.
+    SYSECO_CHECK(varOfNet_[n] != kEncoding && "combinational cycle");
+    varOfNet_[n] = kEncoding;
+    stack.emplace_back(n, 0);
+  };
+  open(net);
+  while (!stack.empty()) {
+    const NetId top = stack.back().first;
+    const Netlist::Net& n = netlist_.net(top);
+    Var v = -1;
+    switch (n.srcKind) {
+      case Netlist::SourceKind::Input: {
+        const std::string& name = netlist_.inputName(n.srcIdx);
+        auto it = inputVarByName_.find(name);
+        if (it == inputVarByName_.end()) {
+          v = solver_.newVar();
+          inputVarByName_.emplace(name, v);
+        } else {
+          v = it->second;
+        }
+        break;
       }
-      break;
+      case Netlist::SourceKind::Gate: {
+        const std::vector<NetId>& fanins = netlist_.gate(n.srcIdx).fanins;
+        std::size_t& next = stack.back().second;
+        while (next < fanins.size()) {
+          const NetId f = fanins[next++];
+          if (f >= varOfNet_.size())
+            varOfNet_.resize(netlist_.numNetsTotal(), -1);
+          if (varOfNet_[f] < 0) {
+            open(f);
+            break;
+          }
+        }
+        if (stack.back().first != top) continue;  // a fanin comes first
+        v = encodeGate(n.srcIdx);
+        break;
+      }
+      case Netlist::SourceKind::None:
+        SYSECO_CHECK(false && "encoding an undriven net");
     }
-    case Netlist::SourceKind::Gate:
-      v = encodeGate(n.srcIdx);
-      break;
-    case Netlist::SourceKind::None:
-      SYSECO_CHECK(false && "encoding an undriven net");
+    varOfNet_[top] = v;
+    stack.pop_back();
   }
-  varOfNet_[net] = v;
-  return v;
+  return varOfNet_[net];
 }
 
 Var NetlistEncoder::encodeGate(GateId g) {
   const Netlist::Gate& gate = netlist_.gate(g);
   SYSECO_CHECK(!gate.dead);
+  // netVar has encoded every fanin already.
   std::vector<Var> in;
   in.reserve(gate.fanins.size());
-  for (NetId f : gate.fanins) in.push_back(netVar(f));
+  for (NetId f : gate.fanins) in.push_back(varOfNet_[f]);
 
   auto lit = [](Var v, bool neg = false) { return Lit::make(v, neg); };
   Solver& s = solver_;

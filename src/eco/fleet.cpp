@@ -234,7 +234,7 @@ AgentTask outputTask(const FleetTaskRequest& req,
   t.pin = "o" + std::to_string(req.output);
   t.compute = [req, &opt](const CaseCacheLru::Entry& e) -> Result<std::string> {
     Result<WorkerPatch> r = runFleetTask(
-        e.c.base, e.c.spec, e.c.options, req.output, e.c.protect,
+        e.c.base, e.c.spec, e.c.options, req.limits, req.output, e.c.protect,
         e.baseAnalysis.get(), e.specAnalysis.get());
     if (!r.isOk()) return r.status();
     if (opt.verbose)

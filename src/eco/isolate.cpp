@@ -225,7 +225,13 @@ std::string encodeFleetTaskRequest(const FleetTaskRequest& req) {
      << ",\"epoch\":";
   putU64String(os, req.epoch);
   os << ",\"lease_seconds\":" << req.leaseSeconds
-     << ",\"case_crc\":" << req.caseCrc << "}";
+     << ",\"case_crc\":" << req.caseCrc;
+  const ResourceGuard::Limits& l = req.limits;
+  if (l.deadlineSeconds > 0.0)
+    os << ",\"deadline_seconds\":" << l.deadlineSeconds;
+  if (l.conflictBudget > 0) os << ",\"conflict_budget\":" << l.conflictBudget;
+  if (l.bddNodeBudget > 0) os << ",\"bdd_node_budget\":" << l.bddNodeBudget;
+  os << "}";
   return os.str();
 }
 
@@ -242,6 +248,13 @@ Result<FleetTaskRequest> decodeFleetTaskRequest(std::string_view payload) {
       !readDouble(v, "lease_seconds", &req.leaseSeconds) ||
       req.leaseSeconds <= 0.0 || !readU32(v, "case_crc", &req.caseCrc))
     return badFleet("malformed task request");
+  ResourceGuard::Limits& l = req.limits;
+  if (!readDouble(v, "deadline_seconds", &l.deadlineSeconds,
+                  JsonKey::kOptional) ||
+      !readI64(v, "conflict_budget", &l.conflictBudget, JsonKey::kOptional) ||
+      !readI64(v, "bdd_node_budget", &l.bddNodeBudget, JsonKey::kOptional) ||
+      l.deadlineSeconds < 0.0 || l.conflictBudget < 0 || l.bddNodeBudget < 0)
+    return badFleet("malformed task limits");
   return req;
 }
 

@@ -26,6 +26,7 @@
 #include "eco/patch.hpp"
 #include "eco/syseco.hpp"
 #include "netlist/netlist.hpp"
+#include "util/budget.hpp"
 #include "util/status.hpp"
 
 namespace syseco {
@@ -89,12 +90,15 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
 /// encoded case payload; an agent that has not cached it answers with a
 /// need-case frame before starting. `epoch` uniquely identifies this
 /// assignment - every frame the agent sends back about the task carries it.
+/// `limits` is the task's resource slice on a governed run; each limit is
+/// on the wire only when set, so unlimited requests keep their old bytes.
 struct FleetTaskRequest {
   std::uint32_t output = 0;
   std::int64_t attempt = 1;
   std::uint64_t epoch = 0;
   double leaseSeconds = 10.0;  ///< agent paces heartbeats well inside this
   std::uint32_t caseCrc = 0;
+  ResourceGuard::Limits limits;
 };
 
 std::string encodeFleetTaskRequest(const FleetTaskRequest& req);
@@ -219,13 +223,15 @@ inline WorkerExitCause workerExitCauseOf(const Status& failure) {
 class NetlistAnalysis;
 
 /// The pure per-output task: rectify `output` of `base` against `spec`
-/// under sanitized worker `options`, exactly as every local executor does,
-/// and return the extracted patch. Shared analyses may be passed to
-/// amortize cone work across tasks on the same case (the agent caches them
-/// per case); null pointers make the engine build its own. The
+/// under sanitized worker `options` and the resource slice `limits`,
+/// exactly as every local executor does, and return the extracted patch.
+/// Shared analyses may be passed to amortize cone work across tasks on the
+/// same case (the agent caches them per case); null pointers make the
+/// engine build its own. The
 /// --serve-worker agent's entry point into the engine's one task builder.
 Result<WorkerPatch> runFleetTask(const Netlist& base, const Netlist& spec,
                                  const SysecoOptions& options,
+                                 const ResourceGuard::Limits& limits,
                                  std::uint32_t output,
                                  const std::vector<std::uint32_t>& protect,
                                  const NetlistAnalysis* baseAnalysis,

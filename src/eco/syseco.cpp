@@ -209,10 +209,6 @@ class Engine {
     ownedSpecAnalysis_ = std::make_unique<NetlistAnalysis>(spec_);
     specAnalysis_ = ownedSpecAnalysis_.get();
 
-    // Speculative parallel mode needs a resource-unlimited run: fair-share
-    // slicing is inherently completion-order-dependent.
-    const bool speculative = !rootGuard_.limited();
-
     std::vector<std::uint32_t> failing;
     if (plan) {
       // Resume: the journal already proved which outputs were failing and
@@ -220,8 +216,10 @@ class Engine {
       // order was computed against the unpatched netlist, which no longer
       // exists. Outputs with an adopted report are skipped outright.
       result_.failingOutputsBefore = plan->failingOutputsBefore;
-      restoredConflicts_ = plan->conflictsUsed;
-      restoredBddNodes_ = plan->bddNodesUsed;
+      // What the interrupted run already spent counts against this run's
+      // budgets: the root guard resumes exactly where the checkpoint left it.
+      rootGuard_.chargeConflicts(plan->conflictsUsed);
+      rootGuard_.chargeBddNodes(plan->bddNodesUsed);
       diag_.outputs = plan->restored;
       std::unordered_set<std::uint32_t> done;
       for (const OutputReport& r : plan->restored) done.insert(r.output);
@@ -231,10 +229,8 @@ class Engine {
         failingSet_.insert(o);
       }
       plannedOutputs_ = plan->order.size();
-      if (speculative) {
-        ownedBaseAnalysis_ = std::make_unique<NetlistAnalysis>(plan->base);
-        baseAnalysis_ = ownedBaseAnalysis_.get();
-      }
+      ownedBaseAnalysis_ = std::make_unique<NetlistAnalysis>(plan->base);
+      baseAnalysis_ = ownedBaseAnalysis_.get();
     } else {
       // Failing-output detection runs under the governor: outputs it cannot
       // confirm healthy in time are treated as failing, so they end up
@@ -261,8 +257,7 @@ class Engine {
       if (opt_.planHook) opt_.planHook(failing, result_.failingOutputsBefore);
     }
 
-    const bool interrupted = speculative ? runSupervised(failing, plan)
-                                         : runSequential(failing);
+    const bool interrupted = runSupervised(failing, plan);
     diag_.interrupted = interrupted;
 
     if (!interrupted) {
@@ -275,10 +270,8 @@ class Engine {
     }
 
     diag_.runLimit = rootGuard_.trippedCode();
-    diag_.conflictsUsed =
-        restoredConflicts_ + rootGuard_.conflictsUsed() + extraConflicts_;
-    diag_.bddNodesUsed =
-        restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_;
+    diag_.conflictsUsed = rootGuard_.conflictsUsed();
+    diag_.bddNodesUsed = rootGuard_.bddNodesUsed();
 
     if (!interrupted) {
       result_.stats = tracker().finalize();
@@ -299,32 +292,8 @@ class Engine {
   Netlist& working() { return result_.rectified; }
   PatchTracker& tracker() { return *tracker_; }
 
-  /// The original fair-share sequential cascade. Used whenever the governor
-  /// imposes limits (slice sizes depend on completion order, so speculation
-  /// cannot reproduce them). Returns true when a checkpoint hook
-  /// interrupted the run.
-  bool runSequential(const std::vector<std::uint32_t>& failing) {
-    for (std::size_t k = 0; k < failing.size(); ++k) {
-      // Fair-share slicing: each output is entitled to 1/left of whatever
-      // conflicts, nodes and time remain - one pathological output cannot
-      // starve the outputs behind it.
-      const std::size_t left = failing.size() - k;
-      double perOutputSeconds = 0.0;
-      const double remaining = rootGuard_.remainingSeconds();
-      if (remaining < 1e17)
-        perOutputSeconds =
-            std::max(remaining, 0.0) / static_cast<double>(left);
-      ResourceGuard outGuard =
-          rootGuard_.sliceSeconds(left, perOutputSeconds);
-      if (rectifyOutput(failing[k], outGuard) &&
-          !checkpointCommit("post-patch-commit"))
-        return true;
-    }
-    return false;
-  }
-
-  /// Post-commit bookkeeping shared by both cascades: audits the phase
-  /// boundary, then hands the checkpoint hook the report just pushed.
+  /// Post-commit bookkeeping: audits the phase boundary, then hands the
+  /// checkpoint hook the report just pushed.
   /// Returns false when the hook interrupted the run.
   bool checkpointCommit(const char* auditPhase) {
     auditBoundary(auditPhase);
@@ -336,8 +305,8 @@ class Engine {
         tracker(),
         diag_.outputs.size(),
         plannedOutputs_,
-        restoredConflicts_ + rootGuard_.conflictsUsed() + extraConflicts_,
-        restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
+        rootGuard_.conflictsUsed(),
+        rootGuard_.bddNodesUsed()};
     return opt_.checkpointHook(cp);
   }
 
@@ -421,10 +390,11 @@ class Engine {
       std::optional<Result<WorkerPatch>>* out = &results_[slot];
       std::atomic<Start>* start = &starts_[slot];
       start->store(Start::kQueued);
-      futures_[slot] = pool_.submit([this, out, start, output] {
+      const ResourceGuard::Limits limits = eng_.taskLimits();
+      futures_[slot] = pool_.submit([this, out, start, output, limits] {
         Start queued = Start::kQueued;
         if (!start->compare_exchange_strong(queued, Start::kStarted)) return;
-        out->emplace(computeTask(ctx_.base, eng_.spec_, ctx_.opt,
+        out->emplace(computeTask(ctx_.base, eng_.spec_, ctx_.opt, limits,
                                  output, ctx_.protect, eng_.baseAnalysis_,
                                  eng_.specAnalysis_));
       });
@@ -485,10 +455,10 @@ class Engine {
 
   /// Forked, rlimit-sandboxed worker subprocesses (--isolate): at most
   /// `jobs` children at once, each inheriting the base snapshot over COW
-  /// fork. Exits are classified into the WorkerExitCause taxonomy and a
-  /// worker past its wall deadline is killed. The parent stays
-  /// single-threaded by design - the children provide the parallelism, and
-  /// a thread-free parent keeps fork safe.
+  /// fork, its resource slice included. Exits are classified into the
+  /// WorkerExitCause taxonomy and a worker past its wall deadline is
+  /// killed. The parent stays single-threaded by design - the children
+  /// provide the parallelism, and a thread-free parent keeps fork safe.
   class ForkedExecutor final : public TaskExecutor {
    public:
     ForkedExecutor(const Engine& eng, const TaskContext& ctx,
@@ -509,9 +479,10 @@ class Engine {
       subprocess::Limits limits;
       limits.memoryBytes = opt_.isolateMemoryBytes;
       limits.cpuSeconds = opt_.isolateCpuSeconds;
+      const ResourceGuard::Limits slice = eng_.taskLimits();
       Result<subprocess::Child> forked = subprocess::forkWorker(
-          limits, [this](int requestFd, int responseFd) {
-            return childBody(requestFd, responseFd);
+          limits, [this, &slice](int requestFd, int responseFd) {
+            return childBody(requestFd, responseFd, slice);
           });
       if (!forked.isOk()) {
         fail(slot, WorkerExitCause::kCrash, forked.status().message());
@@ -654,7 +625,8 @@ class Engine {
     /// worker-side fault injection, compute the pure task against the
     /// (COW-inherited) base snapshot and ship the WorkerPatch back. The
     /// return value becomes the child's exit code via forkWorker.
-    int childBody(int requestFd, int responseFd) const {
+    int childBody(int requestFd, int responseFd,
+                  const ResourceGuard::Limits& slice) const {
       Result<std::string> raw = subprocess::readAll(requestFd);
       if (!raw.isOk()) return subprocess::kChildExitBadRequest;
       Result<ipc::Frame> frame = ipc::decodeFrame(raw.value());
@@ -699,7 +671,7 @@ class Engine {
       }
 
       Result<WorkerPatch> patch =
-          computeTask(ctx_.base, eng_.spec_, ctx_.opt, o, ctx_.protect,
+          computeTask(ctx_.base, eng_.spec_, ctx_.opt, slice, o, ctx_.protect,
                       eng_.baseAnalysis_, eng_.specAnalysis_);
       if (!patch.isOk())
         return workerExitCauseOf(patch.status()) == WorkerExitCause::kOom
@@ -751,6 +723,7 @@ class Engine {
     /// strikes the peer and the slot stays pending.
     bool launch(std::size_t k, std::uint32_t output, int attempt) override {
       outputs_[k] = output;
+      const ResourceGuard::Limits limits = eng_.taskLimits();
       const auto encode = [&](std::uint64_t epoch) {
         FleetTaskRequest req;
         req.output = output;
@@ -758,6 +731,7 @@ class Engine {
         req.epoch = epoch;
         req.leaseSeconds = eng_.opt_.fleetLeaseSeconds;
         req.caseCrc = case_->crc;
+        req.limits = limits;
         return encodeFleetTaskRequest(req);
       };
       return pool_
@@ -847,19 +821,43 @@ class Engine {
     AgentPool pool_;
   };
 
-  /// The plan-order supervisor behind every speculative mode. Each planned
+  /// One planned output's slice of the run's resources, fixed up front from
+  /// the options and the plan: 1/n of each run-wide budget (plus one) and
+  /// 1/n of the deadline, for n planned outputs. The wall clock counts from
+  /// when the task starts, capped at the run's time left now. On unlimited
+  /// runs every limit is zero.
+  ResourceGuard::Limits taskLimits() const {
+    const auto n = static_cast<std::int64_t>(
+        std::max<std::size_t>(plannedOutputs_, 1));
+    ResourceGuard::Limits l;
+    if (opt_.totalConflictBudget > 0)
+      l.conflictBudget = opt_.totalConflictBudget / n + 1;
+    if (opt_.totalBddNodeBudget > 0)
+      l.bddNodeBudget = opt_.totalBddNodeBudget / n + 1;
+    // A zero deadline means none: an expired run still hands out a positive
+    // sliver, which trips at the task's first checkpoint.
+    if (opt_.deadlineSeconds > 0.0)
+      l.deadlineSeconds =
+          std::min(opt_.deadlineSeconds / static_cast<double>(n),
+                   std::max(rootGuard_.remainingSeconds(), 1e-9));
+    return l;
+  }
+
+  /// The plan-order supervisor: the engine's one cascade. Each planned
   /// output is searched by an independent pure task against the unpatched
   /// base snapshot (in-process threads, forked --isolate workers or the TCP
   /// fleet), and results commit strictly in plan order through
   /// commitWorker. The per-output search is a pure function of (base
-  /// netlist, spec, options, output) - the RNG is reseeded per output and
-  /// worker resources are unlimited - and every commit-time decision is a
-  /// deterministic function of the canonical state, so the patch, reports
-  /// and journal are bit-identical for every jobs value and transport. A
-  /// failed attempt retries with deterministic capped backoff; an output
-  /// that exhausts isolateMaxAttempts is quarantined to the cone-clone
-  /// fallback. A fleet that drops below fleetMinWorkers degrades to the
-  /// inline in-process executor - slower, never wrong, never aborted.
+  /// netlist, spec, options, output, resource slice) - the RNG is reseeded
+  /// per output and the slice is fixed from the options and the plan - and
+  /// every commit-time decision is a deterministic function of the
+  /// canonical state and the root guard's ledger, so the patch, reports and
+  /// journal are bit-identical for every jobs value and transport (a
+  /// deadline is the one input that depends on timing). A failed attempt
+  /// retries with deterministic capped backoff; an output that exhausts
+  /// isolateMaxAttempts is quarantined to the cone-clone fallback. A fleet
+  /// that drops below fleetMinWorkers degrades to the inline in-process
+  /// executor - slower, never wrong, never aborted.
   ///
   /// Earlier commits often fix later outputs for free (global favoring).
   /// That is decided once per output, when it becomes the commit frontier
@@ -867,8 +865,11 @@ class Engine {
   /// reads is final - and before its task is launched or waited on. A
   /// fixed output commits a no-op at once: its task never starts (jobs 1,
   /// and any still-pending slot) or is abandoned, and whatever the task
-  /// did - failed attempts, quarantine - never reaches its report.
-  /// Returns true when a checkpoint hook interrupted the run.
+  /// did - failed attempts, quarantine - never reaches its report. Once the
+  /// root guard has tripped, every output still to commit takes the
+  /// cone-clone fallback at the frontier the same way, whatever its task
+  /// found: the run's budgets are spent. Returns true when a checkpoint
+  /// hook interrupted the run.
   bool runSupervised(const std::vector<std::uint32_t>& failing,
                      const ResumePlan* plan) {
     // Workers search from the unpatched base. When not resuming, w *is*
@@ -955,23 +956,27 @@ class Engine {
         Slot& s = slots[nextCommit];
         const std::uint32_t o = failing[nextCommit];
         if (!frontier) {
-          frontier.emplace(opt_.seed, o);
-          frontier->fixed = frontierFixed(o, *frontier);
+          frontier.emplace(opt_.seed, o, rootGuard_);
+          frontier->fixed =
+              !rootGuard_.exhausted() && frontierFixed(o, *frontier);
         }
         bool reported = false;
-        if (frontier->fixed) {
+        if (frontier->fixed || rootGuard_.exhausted()) {
           if (s.st == SlotState::kPending ||
               (s.st == SlotState::kRunning && exec->abandon(nextCommit)))
             ++diag_.frontierSkippedTasks;
           else if (s.patch && s.patch->produced)
             diag_.secondsDiscardedSpeculation += workerPhaseSeconds(*s.patch);
           s.st = SlotState::kDone;
-          reported = commitAlreadyFixed(o, *frontier);
+          reported = frontier->fixed
+                         ? commitAlreadyFixed(o, *frontier)
+                         : commitFallback(o, rootGuard_.trippedCode(), 0,
+                                          WorkerExitCause::kNone, *frontier);
         } else if (s.st != SlotState::kDone) {
           break;
         } else if (s.quarantined) {
-          reported =
-              commitQuarantined(o, s.attemptsFailed, s.lastCause, *frontier);
+          reported = commitFallback(o, quarantineLimit(s.lastCause),
+                                    s.attemptsFailed, s.lastCause, *frontier);
         } else if (s.patch->produced) {
           reported = commitWorker(o, *s.patch, *frontier);
           if (reported && s.attemptsFailed > 0) {
@@ -1027,22 +1032,25 @@ class Engine {
   }
 
   /// The commit-time state of the output at the commit frontier: the
-  /// per-output commit RNG and the unlimited guard that every commit-time
-  /// solve for it draws from and charges, whichever commit path it takes.
+  /// per-output commit RNG and the guard that every commit-time solve for
+  /// it draws from and charges, whichever commit path it takes. The guard
+  /// has no limits of its own; it charges, and trips with, the root guard.
   struct FrontierCheck {
-    FrontierCheck(std::uint64_t runSeed, std::uint32_t o)
+    FrontierCheck(std::uint64_t runSeed, std::uint32_t o,
+                  const ResourceGuard& root)
         : rng(runSeed ^
-              (0xc2b2ae3d27d4eb4fULL * (static_cast<std::uint64_t>(o) + 1))) {}
+              (0xc2b2ae3d27d4eb4fULL * (static_cast<std::uint64_t>(o) + 1))),
+          guard(ResourceGuard::Limits{}, &root) {}
     Rng rng;
     ResourceGuard guard;
     Timer timer;
     bool fixed = false;  ///< already fixed on the canonical netlist
   };
 
-  /// True when earlier commits already fixed output `o` - the sequential
-  /// cascade's global favoring, the same query as rectifyOutput's own
-  /// already-fixed fast path. Only a dirty canonical netlist can have: on
-  /// the untouched base every planned output is failing.
+  /// True when earlier commits already fixed output `o` - global
+  /// favoring, the same query as rectifyOutput's own already-fixed fast
+  /// path. Only a dirty canonical netlist can have: on the untouched base
+  /// every planned output is failing.
   bool frontierFixed(std::uint32_t o, FrontierCheck& check) {
     const std::uint32_t op = specOutput(o);
     if (op == kNullId || tracker().rewires().empty()) return false;
@@ -1076,15 +1084,16 @@ class Engine {
            f.secondsValidation + f.secondsFallback;
   }
 
-  /// Applies one worker's speculative result to the canonical netlist,
-  /// reproducing the sequential cascade's semantics at commit time: a
-  /// patch invalidated by earlier commits is discarded and redone against
-  /// the canonical state. (Already-fixed outputs never get here: they
-  /// commit a no-op at the frontier.) All commit-time solving continues the
-  /// frontier check's per-output commit RNG and unlimited guard, so the
-  /// decision depends only on (seed, output, canonical netlist) - never on
-  /// scheduling or on which executor ran the worker. Returns true when a
-  /// report was pushed.
+  /// Applies one worker's speculative result to the canonical netlist. A
+  /// patch that earlier commits invalidated, or that rewires onto newly
+  /// created logic while earlier commits changed the netlist, is discarded
+  /// and the output is redone: its search runs again against the canonical
+  /// netlist, under a fresh slice of its own. (Already-fixed outputs never get here: they commit a
+  /// no-op at the frontier.) All commit-time solving continues the
+  /// frontier check's per-output commit RNG and root-parented guard, so the
+  /// decision depends only on (seed, output, canonical netlist, root
+  /// ledger) - never on scheduling or on which executor ran the worker.
+  /// Returns true when a report was pushed.
   bool commitWorker(std::uint32_t o, const WorkerPatch& patch,
                     FrontierCheck& check) {
     const std::uint32_t op = specOutput(o);
@@ -1092,35 +1101,33 @@ class Engine {
     Netlist& w = working();
     const SysecoDiagnostics& frag = patch.frag;
     // Commits before this one may have changed the canonical netlist; if
-    // none did, the worker's search *is* the sequential search and its
+    // none did, the worker searched the canonical netlist itself and its
     // result is adopted verbatim.
     const bool dirty = !tracker().rewires().empty();
     Rng& commitRng = check.rng;
     ResourceGuard& commitGuard = check.guard;
 
-    // Discards the speculative patch and redoes the output sequentially
-    // against the current canonical state - the sequential cascade's exact
-    // view - charging the commit-time checks to its report.
+    // Discards the speculative patch and searches the output again in
+    // process, against the canonical netlist, under a fresh slice charged
+    // to the root guard; the commit-time checks are charged to its report.
     auto redo = [&] {
       diag_.secondsDiscardedSpeculation += workerPhaseSeconds(patch);
-      ResourceGuard redoGuard;
+      ResourceGuard redoGuard(taskLimits(), &rootGuard_);
       const bool reported = rectifyOutput(o, redoGuard);
       if (reported) {
         OutputReport& rep = diag_.outputs.back();
         rep.conflictsUsed += commitGuard.conflictsUsed();
         rep.bddNodesUsed += commitGuard.bddNodesUsed();
-        extraConflicts_ += rep.conflictsUsed;
-        extraBddNodes_ += rep.bddNodesUsed;
       }
       return reported;
     };
 
     if (dirty) {
       // Patches that rewire onto newly-created logic (synthesized gates or
-      // cone clones) lose the sequential cascade's cross-output reuse: a
-      // later output could have absorbed an earlier output's patch logic -
-      // or its search leftovers - instead of instantiating a private copy.
-      // Redo those against the canonical netlist, the sequential view.
+      // cone clones) lose cross-output reuse: searched against the
+      // canonical netlist, a later output could absorb an earlier output's
+      // patch logic - or its search leftovers - instead of instantiating a
+      // private copy. Redo those against the canonical netlist.
       // Pure rewires onto pre-existing nets (the common case, and the
       // paper's central claim) transplant exactly and stay parallel.
       std::vector<std::pair<Sink, NetId>> finalBySink;
@@ -1209,11 +1216,14 @@ class Engine {
       }
     }
 
-    // Adopt: merge the worker's account of its search into the run totals
-    // and take its report, plus whatever the commit-time checks cost.
+    // Adopt: merge the worker's account of its search into the run totals,
+    // charge what it spent to the root guard and take its report, plus
+    // whatever the commit-time checks cost.
     mergeWorkerDiag(frag);
     SYSECO_CHECK(!frag.outputs.empty());
     OutputReport report = frag.outputs.back();
+    rootGuard_.chargeConflicts(report.conflictsUsed);
+    rootGuard_.chargeBddNodes(report.bddNodesUsed);
     report.conflictsUsed += commitGuard.conflictsUsed();
     report.bddNodesUsed += commitGuard.bddNodesUsed();
     failingSet_.erase(o);
@@ -1222,8 +1232,6 @@ class Engine {
   }
 
   void pushCommittedReport(OutputReport report) {
-    extraConflicts_ += report.conflictsUsed;
-    extraBddNodes_ += report.bddNodesUsed;
     if (opt_.verbose)
       std::fprintf(stderr, "[syseco] out=%u -> %s (commit, %.2fs)\n",
                    report.output, outputRectStatusName(report.status),
@@ -1517,14 +1525,15 @@ class Engine {
     }
   }
 
-  /// Quarantine adoption: after isolateMaxAttempts contained failures the
-  /// output goes straight to the guaranteed cone-clone fallback against the
-  /// canonical netlist (Proposition 1) - deterministically, with the same
-  /// per-output re-derivation as rectifyOutput - and reports kFallback with
-  /// a non-ok limit so the run surfaces as degraded. The frontier check
-  /// that found it still failing is charged to its report.
-  bool commitQuarantined(std::uint32_t o, int attempts, WorkerExitCause cause,
-                         const FrontierCheck& check) {
+  /// Commits the guaranteed cone-clone fallback against the canonical
+  /// netlist (Proposition 1) without adopting any worker result: for an
+  /// output quarantined after isolateMaxAttempts contained failures, and
+  /// for every output that reaches the frontier after the root guard has
+  /// tripped. Deterministic, with the same per-output re-derivation as
+  /// rectifyOutput; it reports kFallback with the non-ok `limit` so the
+  /// run surfaces as degraded. The frontier check is charged to its report.
+  bool commitFallback(std::uint32_t o, StatusCode limit, int attempts,
+                      WorkerExitCause cause, const FrontierCheck& check) {
     const std::uint32_t op = specOutput(o);
     if (op == kNullId) return false;
     rng_.reseed(opt_.seed ^ (0x9e3779b97f4a7c15ULL *
@@ -1538,7 +1547,7 @@ class Engine {
     report.output = o;
     report.name = working().outputName(o);
     report.status = OutputRectStatus::kFallback;
-    report.limit = quarantineLimit(cause);
+    report.limit = limit;
     report.conflictsUsed = check.guard.conflictsUsed();
     report.bddNodesUsed = check.guard.bddNodesUsed();
     report.seconds = timer.seconds();
@@ -1558,7 +1567,8 @@ class Engine {
   /// into a non-ok Status - a worker reports a task failure, never dies.
   static Result<WorkerPatch> computeTask(
       const Netlist& base, const Netlist& spec, const SysecoOptions& opt,
-      std::uint32_t output, const std::vector<std::uint32_t>& protect,
+      const ResourceGuard::Limits& limits, std::uint32_t output,
+      const std::vector<std::uint32_t>& protect,
       const NetlistAnalysis* baseAnalysis, const NetlistAnalysis* specAnalysis) {
     if (output >= base.numOutputs())
       return Status::invalidInput("worker task output out of range");
@@ -1575,12 +1585,12 @@ class Engine {
         if (kind) throw StatusError(Status::internal("injected task fault"));
       }
       // The worker borrows the caller's immutable analyses, protects every
-      // planned output the way the sequential cascade protects still-
-      // unprocessed ones, and runs unlimited (speculation only runs on
-      // unlimited runs). It only runs rectifyOutput, which reads nothing
-      // but the search-shaping options, so the run's options serve as-is:
-      // hooks, transports, audits and the oracle stay the canonical
-      // engine's. A produced report is frag's only entry.
+      // planned output (none of them has committed on the base snapshot),
+      // and searches under its slice of the run's resources. It only runs
+      // rectifyOutput, which reads nothing but the search-shaping options,
+      // so the run's options serve as-is: hooks, transports, audits and
+      // the oracle stay the canonical engine's. A produced report is
+      // frag's only entry.
       SysecoDiagnostics frag;
       Engine eng(base, spec, opt, frag);
       eng.baseAnalysis_ = baseAnalysis;
@@ -1588,8 +1598,8 @@ class Engine {
       eng.trackerStore_.emplace(eng.result_.rectified);
       eng.tracker_ = &*eng.trackerStore_;
       eng.failingSet_.insert(protect.begin(), protect.end());
-      ResourceGuard unlimited;
-      const bool produced = eng.rectifyOutput(output, unlimited);
+      ResourceGuard guard(limits);
+      const bool produced = eng.rectifyOutput(output, guard);
       WorkerPatch p;
       p.produced = produced;
       p.baseGates = base.numGatesTotal();
@@ -1837,10 +1847,9 @@ class Engine {
       correctMask[wd] &= ~errMask[wd];
 
     // Shared-analysis fast path: while the working netlist is still the
-    // pristine base snapshot (every speculative worker's first attempt, and
-    // the first output of a sequential run), the cone, levels, supports and
-    // topological order come from the immutable NetlistAnalysis instead of
-    // being recomputed per attempt.
+    // pristine base snapshot (every worker's first attempt), the cone,
+    // levels, supports and topological order come from the immutable
+    // NetlistAnalysis instead of being recomputed per attempt.
     const bool pristine = baseAnalysisFresh();
     std::vector<GateId> cone = pristine ? baseAnalysis_->outputConeGates(o)
                                         : w.coneGates({w.outputNet(o)});
@@ -3422,11 +3431,6 @@ class Engine {
   std::unique_ptr<NetlistAnalysis> ownedSpecAnalysis_;
   const NetlistAnalysis* baseAnalysis_ = nullptr;
   const NetlistAnalysis* specAnalysis_ = nullptr;
-  // Speculative-commit accounting: charges from commit-time checks and
-  // redo runs, which deliberately run outside rootGuard_ (worker guards are
-  // unlimited and unparented - they never touch the canonical governor).
-  std::int64_t extraConflicts_ = 0;
-  std::int64_t extraBddNodes_ = 0;
   // Gate/net counts of the shared base snapshot (the worker id remap base).
   std::size_t commitBaseGates_ = 0;
   std::size_t commitBaseNets_ = 0;
@@ -3437,11 +3441,8 @@ class Engine {
   ResourceGuard* activeGuard_ = nullptr;
   int degradeSteps_ = 0;
   std::size_t effMaxPointSets_ = 0;
-  // Journal-resume accounting: totals adopted from the journal (reported
-  // on top of this process's own rootGuard_ charges) and the size of the
-  // full processing plan (for checkpoint progress records).
-  std::int64_t restoredConflicts_ = 0;
-  std::int64_t restoredBddNodes_ = 0;
+  // Size of the full processing plan: it fixes every output's resource
+  // slice and the progress of checkpoint records.
   std::size_t plannedOutputs_ = 0;
 };
 
@@ -3484,13 +3485,6 @@ Status validateSysecoOptions(const SysecoOptions& o) {
     return invalid("oracle.bddNodeBudget must be positive");
   if (!o.workers.empty() && o.isolate)
     return invalid("workers and isolate are mutually exclusive transports");
-  // Governed runs take the sequential in-process cascade, so they could
-  // honor neither transport: fail closed instead of running uncontained.
-  if ((o.isolate || !o.workers.empty()) &&
-      (o.deadlineSeconds > 0.0 || o.totalConflictBudget > 0 ||
-       o.totalBddNodeBudget > 0))
-    return invalid(std::string(o.isolate ? "isolate" : "workers") +
-                   " requires an unlimited run (no deadline or budget)");
   if (o.fleetLeaseSeconds <= 0.0)
     return invalid("fleetLeaseSeconds must be positive");
   if (o.fleetConnectTimeoutMs <= 0)
@@ -3527,11 +3521,12 @@ Result<EcoResult> runSysecoChecked(const Netlist& impl, const Netlist& spec,
 
 Result<WorkerPatch> runFleetTask(const Netlist& base, const Netlist& spec,
                                  const SysecoOptions& options,
+                                 const ResourceGuard::Limits& limits,
                                  std::uint32_t output,
                                  const std::vector<std::uint32_t>& protect,
                                  const NetlistAnalysis* baseAnalysis,
                                  const NetlistAnalysis* specAnalysis) {
-  return Engine::computeTask(base, spec, options, output, protect,
+  return Engine::computeTask(base, spec, options, limits, output, protect,
                              baseAnalysis, specAnalysis);
 }
 

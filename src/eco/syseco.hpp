@@ -103,13 +103,13 @@ struct SysecoOptions {
 
   std::uint64_t seed = 1;
 
-  /// Worker threads for per-output rectification. On unlimited runs (no
-  /// deadline or budget) the engine searches outputs speculatively from
-  /// the unpatched base netlist and commits results in plan order, so the
-  /// patch, reports and journal are bit-identical for every jobs value.
-  /// Runs with a deadline or budget use fair-share slicing, which is
-  /// inherently schedule-dependent; they ignore jobs and stay sequential.
-  /// A worker that throws fails its attempt and is retried, then
+  /// Worker threads for per-output rectification. The engine searches
+  /// outputs speculatively from the unpatched base netlist, each under a
+  /// resource slice fixed from the plan, and commits results in plan
+  /// order, so the patch, reports and journal are bit-identical for every
+  /// jobs value - on governed runs too, unless a deadline (the one
+  /// timing-dependent limit) is set. A worker that throws fails its
+  /// attempt and is retried, then
   /// quarantined, under the isolate retry knobs below - like every
   /// executor. Must lie in 1..kMaxCaseJobs (eco/isolate.hpp).
   std::size_t jobs = 1;
@@ -123,10 +123,9 @@ struct SysecoOptions {
   /// to the guaranteed cone-clone fallback instead of aborting the run.
   /// Successful isolated runs are bit-identical to in-process `jobs` runs
   /// (the same plan-ordered speculative commits replay the same worker
-  /// results). Isolation requires an unlimited run: a deadline or budget
-  /// together with `isolate` is rejected as invalid input rather than run
-  /// unisolated. None of the isolate knobs shape the search, so they are
-  /// excluded from the resume fingerprint.
+  /// results). A forked worker inherits its task's resource slice. None of
+  /// the isolate knobs shape the search, so they are excluded from the
+  /// resume fingerprint.
   bool isolate = false;
   int isolateMaxAttempts = 3;        ///< worker attempts before quarantine
   double isolateWallSeconds = 120.0; ///< per-attempt wall deadline (0 = off)
@@ -147,10 +146,9 @@ struct SysecoOptions {
   /// fewer than `fleetMinWorkers` agents remain usable the run degrades to
   /// in-process execution instead of failing. Successful fleet runs are
   /// bit-identical to in-process `jobs` runs (same plan-ordered commits of
-  /// the same pure per-output results). Mutually exclusive with `isolate`;
-  /// like it, the fleet requires an unlimited run (a deadline or budget
-  /// with `workers` is invalid input), and none of these knobs enter the
-  /// resume fingerprint.
+  /// the same pure per-output results); each task request carries its
+  /// resource slice. Mutually exclusive with `isolate`; like it, none of
+  /// these knobs enter the resume fingerprint.
   std::vector<std::string> workers;  ///< agent endpoints, "host:port"
   double fleetLeaseSeconds = 10.0;   ///< task lease; heartbeats renew it
   int fleetConnectTimeoutMs = 2000;  ///< per-connect deadline
@@ -180,8 +178,10 @@ struct SysecoOptions {
   // --- Resource governor (whole-run ceilings; 0 = unlimited) --------------
   // The run always terminates with a correct patch: outputs whose share of
   // the budget runs dry degrade to the guaranteed cone-clone fallback
-  // (Proposition 1) instead of failing. Each failing output receives a
-  // fair slice of whatever remains when its turn comes.
+  // (Proposition 1) instead of failing. Each planned output searches
+  // under a slice fixed up front - 1/n of each budget and of the deadline
+  // for n planned outputs - and once the run-wide ledger is spent, every
+  // output still to commit takes the fallback.
   double deadlineSeconds = 0.0;          ///< wall-clock deadline for the run
   std::int64_t totalConflictBudget = 0;  ///< SAT conflicts across all phases
   std::int64_t totalBddNodeBudget = 0;   ///< BDD nodes across all managers
@@ -362,7 +362,7 @@ struct SysecoDiagnostics {
   double secondsDiscardedSpeculation = 0.0;
   /// Worker patches whose replay onto the canonical netlist closed a
   /// combinational loop through logic earlier commits rewired, so the
-  /// output was rolled back and redone sequentially.
+  /// output was rolled back and searched again on the canonical netlist.
   std::size_t cyclicReplayRedos = 0;
 
   // Certification-oracle + audit accounting (empty when the oracle is

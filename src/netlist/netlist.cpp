@@ -370,30 +370,46 @@ NetId Netlist::cloneCone(
     const Netlist& src, NetId srcNet,
     const std::unordered_map<std::string, NetId>& inputByName,
     std::unordered_map<NetId, NetId>& cache) {
-  if (auto it = cache.find(srcNet); it != cache.end()) return it->second;
-  const Net& sn = src.nets_[srcNet];
-  NetId here = kNullId;
-  switch (sn.srcKind) {
-    case SourceKind::Input: {
-      auto it = inputByName.find(src.inputNames_[sn.srcIdx]);
-      SYSECO_CHECK(it != inputByName.end());
-      here = it->second;
-      break;
+  // Depth-first post-order with an explicit stack - each gate's fanins left
+  // to right, then the gate - so the clones get the ids a recursive walk
+  // would give them and a deep cone cannot overflow the call stack. Each
+  // frame is a source net and the next fanin of its driver to visit.
+  std::vector<std::pair<NetId, std::size_t>> stack;
+  if (!cache.count(srcNet)) stack.emplace_back(srcNet, 0);
+  while (!stack.empty()) {
+    const NetId top = stack.back().first;
+    const Net& sn = src.nets_[top];
+    NetId here = kNullId;
+    switch (sn.srcKind) {
+      case SourceKind::Input: {
+        auto it = inputByName.find(src.inputNames_[sn.srcIdx]);
+        SYSECO_CHECK(it != inputByName.end());
+        here = it->second;
+        break;
+      }
+      case SourceKind::Gate: {
+        const Gate& sg = src.gates_[sn.srcIdx];
+        std::size_t& next = stack.back().second;
+        while (next < sg.fanins.size() && cache.count(sg.fanins[next])) ++next;
+        if (next < sg.fanins.size()) {
+          // A source cycle would grow the stack without bound.
+          SYSECO_CHECK(stack.size() < src.nets_.size() && "cyclic source");
+          stack.emplace_back(sg.fanins[next], 0);
+          continue;
+        }
+        std::vector<NetId> fanins;
+        fanins.reserve(sg.fanins.size());
+        for (NetId f : sg.fanins) fanins.push_back(cache.at(f));
+        here = addGate(sg.type, fanins);
+        break;
+      }
+      case SourceKind::None:
+        SYSECO_CHECK(false && "cloning an undriven net");
     }
-    case SourceKind::Gate: {
-      const Gate& sg = src.gates_[sn.srcIdx];
-      std::vector<NetId> fanins;
-      fanins.reserve(sg.fanins.size());
-      for (NetId f : sg.fanins)
-        fanins.push_back(cloneCone(src, f, inputByName, cache));
-      here = addGate(sg.type, fanins);
-      break;
-    }
-    case SourceKind::None:
-      SYSECO_CHECK(false && "cloning an undriven net");
+    cache.emplace(top, here);
+    stack.pop_back();
   }
-  cache.emplace(srcNet, here);
-  return here;
+  return cache.at(srcNet);
 }
 
 namespace {

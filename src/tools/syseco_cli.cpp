@@ -21,16 +21,13 @@
 //   --no-sweep          disable the patch-input sweeping post-process
 //   --jobs N            worker threads for per-output rectification
 //                       (1..256, default 1; results are bit-identical for
-//                       every N. Runs with a deadline or budget stay
-//                       sequential)
+//                       every N unless a deadline is set)
 //   --isolate           run per-output workers in forked, rlimit-sandboxed
 //                       subprocesses (syseco only); a worker crash, OOM,
 //                       timeout or garbled reply is retried with backoff and
 //                       finally quarantined to the cone-clone fallback
 //                       instead of taking the run down. Clean isolated runs
-//                       are bit-identical to in-process --jobs runs. Needs
-//                       an unlimited run: with a deadline or budget it is
-//                       rejected (exit 3).
+//                       are bit-identical to in-process --jobs runs.
 //   --isolate-max-attempts N  contained failures before quarantine (def. 3)
 //   --isolate-mem-mb N        per-worker RLIMIT_AS ceiling (0 = inherit)
 //   --isolate-cpu-s S         per-worker RLIMIT_CPU ceiling (0 = inherit)
@@ -49,8 +46,7 @@
 //                       discarded by epoch. When fewer than
 //                       --fleet-min-workers agents remain usable the run
 //                       degrades to in-process execution. Verdict records
-//                       are bit-identical to local --jobs runs. Like
-//                       --isolate, rejected with a deadline or budget.
+//                       are bit-identical to local --jobs runs.
 //   --fleet-lease-ms MS       per-task lease (default 10000); an agent
 //                             heartbeats every quarter-lease
 //   --fleet-min-workers N     usable-agent threshold before degrading to

@@ -11,11 +11,14 @@
 // boundary where the engine degrades - shrinks the candidate space, skips
 // to the next output, or rewires the output to its revised-cone clone.
 //
-// Guards are hierarchical: slice(n) carves a child entitled to 1/n of the
-// parent's *remaining* resources, so each failing output gets a fair share
-// of whatever is left and one pathological output cannot starve the rest.
-// Consumption charged to a child is also charged to every ancestor, and a
-// tripped ancestor trips every descendant at its next checkpoint.
+// Guards are hierarchical: a guard built with a parent charges every
+// consumption to each ancestor as well, and a tripped ancestor trips every
+// descendant at its next checkpoint. The engine gives each planned output
+// one slice fixed up front from the options and the plan - 1/n of each
+// run-wide budget and of the run's deadline, for n planned outputs - so a
+// slice never depends on which output finished first and one pathological
+// output cannot starve the rest. Commit-time work is parented on the run's
+// root guard, which keeps the run totals binding.
 //
 // Fault injection: checkpoint(site) consults util/fault.hpp when a site tag
 // is given, so tests can force either exhaustion code at any polling site.
@@ -42,7 +45,10 @@ class ResourceGuard {
   /// injection and ancestor trips).
   ResourceGuard() = default;
 
-  explicit ResourceGuard(const Limits& limits) {
+  /// A guard with its own `limits` under `parent` (nullptr: a root).
+  explicit ResourceGuard(const Limits& limits,
+                         const ResourceGuard* parent = nullptr)
+      : parent_(parent) {
     if (limits.deadlineSeconds > 0.0) {
       hasDeadline_ = true;
       deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -53,59 +59,10 @@ class ResourceGuard {
     bddNodeLimit_ = limits.bddNodeBudget > 0 ? limits.bddNodeBudget : -1;
   }
 
-  // Children hold a pointer to their parent, so guards are not copyable
-  // and only move-constructible (needed to return from slice()); create
-  // children in a scope the parent outlives and don't move a guard that
-  // already has children. The move is hand-written because the spend
-  // counters are atomics (several workers may charge one guard chain
-  // concurrently); moving is a single-threaded setup-time operation.
+  // Children hold a pointer to their parent, so guards are neither
+  // copyable nor movable; create children in a scope the parent outlives.
   ResourceGuard(const ResourceGuard&) = delete;
   ResourceGuard& operator=(const ResourceGuard&) = delete;
-  ResourceGuard(ResourceGuard&& other) noexcept
-      : parent_(other.parent_),
-        hasDeadline_(other.hasDeadline_),
-        deadline_(other.deadline_),
-        conflictLimit_(other.conflictLimit_),
-        bddNodeLimit_(other.bddNodeLimit_),
-        conflictsUsed_(other.conflictsUsed_.load(std::memory_order_relaxed)),
-        bddNodesUsed_(other.bddNodesUsed_.load(std::memory_order_relaxed)),
-        tripped_(other.tripped_.load(std::memory_order_relaxed)) {}
-  ResourceGuard& operator=(ResourceGuard&&) = delete;
-
-  /// Child guard entitled to 1/shares of this guard's remaining budgets
-  /// and all of its remaining time (a deadline is a point in time, not a
-  /// quantity, so children inherit it; use sliceSeconds to also carve the
-  /// clock). shares == 0 behaves as 1.
-  ResourceGuard slice(std::size_t shares) const {
-    return sliceSeconds(shares, 0.0);
-  }
-
-  /// slice() plus a per-child wall-clock allowance: the child's deadline
-  /// is min(parent deadline, now + maxSeconds) when maxSeconds > 0.
-  ResourceGuard sliceSeconds(std::size_t shares, double maxSeconds) const {
-    if (shares == 0) shares = 1;
-    ResourceGuard child;
-    child.parent_ = this;
-    child.hasDeadline_ = hasDeadline_;
-    child.deadline_ = deadline_;
-    if (maxSeconds > 0.0) {
-      const TimePoint cap =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(maxSeconds));
-      if (!child.hasDeadline_ || cap < child.deadline_) {
-        child.hasDeadline_ = true;
-        child.deadline_ = cap;
-      }
-    }
-    const std::int64_t conflictsLeft = remainingConflicts();
-    if (conflictsLeft >= 0)
-      child.conflictLimit_ =
-          conflictsLeft / static_cast<std::int64_t>(shares) + 1;
-    const std::int64_t nodesLeft = remainingBddNodes();
-    if (nodesLeft >= 0)
-      child.bddNodeLimit_ = nodesLeft / static_cast<std::int64_t>(shares) + 1;
-    return child;
-  }
 
   // --- Consumption ----------------------------------------------------------
 
@@ -168,18 +125,6 @@ class ResourceGuard {
     return best;
   }
 
-  std::int64_t remainingBddNodes() const {
-    std::int64_t best = -1;
-    for (const ResourceGuard* g = this; g; g = g->parent_) {
-      if (g->bddNodeLimit_ < 0) continue;
-      const std::int64_t left = g->bddNodeLimit_ > g->bddNodesUsed_
-                                    ? g->bddNodeLimit_ - g->bddNodesUsed_
-                                    : 0;
-      best = best < 0 ? left : std::min(best, left);
-    }
-    return best;
-  }
-
   /// Seconds until the nearest deadline on the chain; negative once
   /// expired; a large sentinel (1e18) when no deadline is set.
   double remainingSeconds() const {
@@ -196,15 +141,6 @@ class ResourceGuard {
 
   std::int64_t conflictsUsed() const { return conflictsUsed_; }
   std::int64_t bddNodesUsed() const { return bddNodesUsed_; }
-
-  /// True when any limit is set on this guard or an ancestor - callers use
-  /// this to skip slicing entirely on unlimited runs.
-  bool limited() const {
-    for (const ResourceGuard* g = this; g; g = g->parent_)
-      if (g->hasDeadline_ || g->conflictLimit_ >= 0 || g->bddNodeLimit_ >= 0)
-        return true;
-    return false;
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

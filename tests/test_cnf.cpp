@@ -246,5 +246,58 @@ TEST_P(CnfVsSim, RandomCircuitCnfAgreesWithSimulation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CnfVsSim, ::testing::Range<std::uint64_t>(1, 9));
 
+// --- Deep netlists ----------------------------------------------------------
+
+/// A chain of `depth` two-input gates, one logic level each: level i is
+/// AND (odd i) or OR (even i) of level i-1 and input i mod 8. The gate at
+/// level `flipAt` swaps AND and OR. A walk that recurses once per level
+/// overflows an 8 MiB stack at 25,000 levels when it encodes a chain and
+/// at 200,000 when it clones one.
+Netlist deepChain(std::size_t depth, std::size_t flipAt = 0) {
+  Netlist nl;
+  std::vector<NetId> in;
+  for (int i = 0; i < 8; ++i)
+    in.push_back(nl.addInput("x" + std::to_string(i)));
+  NetId prev = in[0];
+  for (std::size_t i = 1; i <= depth; ++i) {
+    const bool isAnd = (i % 2 == 1) != (i == flipAt);
+    prev = nl.addGate(isAnd ? GateType::And : GateType::Or, {prev, in[i % 8]});
+  }
+  nl.addOutput("o", prev);
+  return nl;
+}
+
+TEST(DeepNetlist, SolveDiffEncodesThirtyThousandLevels) {
+  const Netlist spec = deepChain(30000);
+  PairEncoding same(spec, spec);
+  EXPECT_EQ(same.solveDiff(0, 0), Solver::Result::Unsat);
+
+  const Netlist impl = deepChain(30000, 29995);
+  bool differs = false;
+  for (std::uint64_t m = 0; m < 256 && !differs; ++m) {
+    InputPattern p(8);
+    for (std::size_t i = 0; i < 8; ++i) p[i] = (m >> i) & 1;
+    differs = evalOnce(impl, p)[0] != evalOnce(spec, p)[0];
+  }
+  ASSERT_TRUE(differs);
+  PairEncoding pe(impl, spec);
+  ASSERT_EQ(pe.solveDiff(0, 0), Solver::Result::Sat);
+  const InputPattern cex = pe.extractInputs();
+  EXPECT_NE(evalOnce(impl, cex)[0], evalOnce(spec, cex)[0]);
+}
+
+TEST(DeepNetlist, CloneConeKeepsThePostOrderAtTwoHundredThousandLevels) {
+  const Netlist src = deepChain(200000);
+  Netlist dst;
+  std::unordered_map<std::string, NetId> inputs;
+  for (std::uint32_t i = 0; i < src.numInputs(); ++i)
+    inputs.emplace(src.inputName(i), dst.addInput(src.inputName(i)));
+  std::unordered_map<NetId, NetId> cache;
+  dst.addOutput("o", dst.cloneCone(src, src.outputNet(0), inputs, cache));
+  // The chain was built bottom-up, so a post-order clone allocates every
+  // gate and net at the id it has in the source.
+  EXPECT_EQ(dst.dumpRawString(), src.dumpRawString());
+}
+
 }  // namespace
 }  // namespace syseco

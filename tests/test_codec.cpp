@@ -161,6 +161,18 @@ std::string fleetTaskRequestBytes() {
   return encodeFleetTaskRequest(r);
 }
 
+/// A governed run's task request: the resource slice rides along.
+std::string fleetTaskRequestWithLimitsBytes() {
+  FleetTaskRequest r;
+  r.output = 3;
+  r.attempt = 1;
+  r.epoch = 9;
+  r.leaseSeconds = 10.0;
+  r.caseCrc = 0xCAFEF00Du;
+  r.limits = ResourceGuard::Limits{1.0 / 3.0, 51, 1048577};
+  return encodeFleetTaskRequest(r);
+}
+
 Netlist tinyBase() {
   Netlist nl;
   const NetId a = nl.addInput("a");
@@ -271,6 +283,8 @@ const std::vector<GoldenCase>& goldenCases() {
        R"golden({"produced":true,"base_gates":2,"base_nets":4,"gates":[[8,4,0,1],[10,5,4,2,3]],"rewires":[[4294967295,0,2,5],[1,1,1,4]],"counters":[1,1,0,5,4,17,3],"seconds":[0.10000000000000001,0.33333333333333331,0,0.125,1.9999999999999999e-07],"report":{"output":0,"name":"o","status":"degraded","limit":"deadline-exceeded","conflicts_used":42,"bdd_nodes_used":7,"seconds":0.30000000000000004,"degrade_steps":1,"attempts":2,"exit_cause":"wall-timeout"}})golden"},
       {"encodeFleetTaskRequest", fleetTaskRequestBytes,
        R"golden({"output":3,"attempt":2,"epoch":"18446744073709551615","lease_seconds":0.66666666666666663,"case_crc":3405705229})golden"},
+      {"encodeFleetTaskRequest(limits)", fleetTaskRequestWithLimitsBytes,
+       R"golden({"output":3,"attempt":1,"epoch":"9","lease_seconds":10,"case_crc":3405705229,"deadline_seconds":0.33333333333333331,"conflict_budget":51,"bdd_node_budget":1048577})golden"},
       {"encodeFleetCase", fleetCaseBytes,
        R"golden({"impl":"syseco-raw-netlist-v1\u000acounts 2 4 2 2\u000ainput 0 a\u000ainput 1 b\u000agate 4 2 0 2 0 1\u000agate 5 3 0 2 0 1\u000anet 1 0 a 2 0 0 1 0\u000anet 1 1 b 2 0 1 1 1\u000anet 2 0 % 1 4294967295 0\u000anet 2 1 % 1 4294967295 1\u000aoutput 2 o\u000aoutput 3 p\u000aend\u000a","spec":"syseco-raw-netlist-v1\u000acounts 2 4 2 2\u000ainput 0 a\u000ainput 1 b\u000agate 8 2 0 2 0 1\u000agate 5 3 0 2 0 1\u000anet 1 0 a 2 0 0 1 0\u000anet 1 1 b 2 0 1 1 1\u000anet 2 0 % 1 4294967295 0\u000anet 2 1 % 1 4294967295 1\u000aoutput 2 o\u000aoutput 3 p\u000aend\u000a","options":{"samples":128,"points":3,"pins":16,"nets":16,"sets":8,"choices":12,"refine":6,"vbudget":500000,"sbudget":100000,"bddlimit":4194304,"errsample":true,"utility":false,"trivial":true,"sweep":true,"synth":true,"level":true,"seed":"18446744073709551615"},"protect":[1,0]})golden"},
       {"encodeFleetCaseTask", fleetCaseTaskBytes,

@@ -124,12 +124,24 @@ TEST(FleetCodec, TaskRequestRoundtrips) {
   EXPECT_EQ(back.value().epoch, 0xfeedfacecafeULL);
   EXPECT_DOUBLE_EQ(back.value().leaseSeconds, 2.5);
   EXPECT_EQ(back.value().caseCrc, 0xdeadbeefu);
+  // An unlimited request carries no limits, and a governed one keeps them.
+  EXPECT_EQ(back.value().limits.conflictBudget, 0);
+  req.limits = ResourceGuard::Limits{0.25, 7, 9};
+  back = decodeFleetTaskRequest(encodeFleetTaskRequest(req));
+  ASSERT_TRUE(back.isOk()) << back.status().toString();
+  EXPECT_DOUBLE_EQ(back.value().limits.deadlineSeconds, 0.25);
+  EXPECT_EQ(back.value().limits.conflictBudget, 7);
+  EXPECT_EQ(back.value().limits.bddNodeBudget, 9);
 }
 
 TEST(FleetCodec, TaskRequestRejectsGarbage) {
   EXPECT_FALSE(decodeFleetTaskRequest("").isOk());
   EXPECT_FALSE(decodeFleetTaskRequest("not json").isOk());
   EXPECT_FALSE(decodeFleetTaskRequest("{\"output\":1}").isOk());
+  FleetTaskRequest req;
+  std::string negative = encodeFleetTaskRequest(req);
+  negative.insert(negative.size() - 1, ",\"conflict_budget\":-5");
+  EXPECT_FALSE(decodeFleetTaskRequest(negative).isOk());
 }
 
 TEST(FleetCodec, NeedCaseAndHeartbeatRoundtrip) {
@@ -369,20 +381,23 @@ struct FleetOutcome {
   std::vector<FleetEvent> events;
 };
 
-CapturedRun runLocalCase(const EcoCase& c) {
+CapturedRun runLocalCase(const EcoCase& c, std::int64_t conflictBudget = 0) {
   CapturedRun run;
   SysecoOptions opt;
   opt.jobs = 1;
+  opt.totalConflictBudget = conflictBudget;
   run.result = runSyseco(c.impl, c.spec, opt, &run.diag);
   run.dump = run.result.rectified.dumpRawString();
   return run;
 }
 
 FleetOutcome runFleetCase(const EcoCase& c, std::vector<std::string> workers,
-                          double leaseSeconds, double backoffMs) {
+                          double leaseSeconds, double backoffMs,
+                          std::int64_t conflictBudget = 0) {
   FleetOutcome out;
   SysecoOptions opt;
   opt.workers = std::move(workers);
+  opt.totalConflictBudget = conflictBudget;
   opt.fleetLeaseSeconds = leaseSeconds;
   opt.isolateBackoffMs = backoffMs;
   opt.fleetConnectTimeoutMs = 500;
@@ -457,6 +472,19 @@ TEST(FleetEngine, CleanFleetRunIsBitIdenticalToTheLocalRun) {
   }
   // Nothing but case uploads on a healthy fleet.
   for (const FleetEvent& e : fleet.events) EXPECT_EQ(e.kind, "case-upload");
+}
+
+TEST(FleetEngine, BudgetGovernedFleetRunIsBitIdenticalToTheLocalRun) {
+  // Each task's resource slice travels in its request, so a run governed
+  // by a conflict budget binds it the same way on an agent as in process.
+  const EcoCase c = fleetEcoCase(11);
+  LoopbackAgent agent;
+  agent.start();
+  const std::int64_t budget = 4000;
+  const CapturedRun local = runLocalCase(c, budget);
+  ASSERT_TRUE(local.diag.resourceDegraded()) << "the budget must bind";
+  const FleetOutcome fleet = runFleetCase(c, {agent.spec()}, 10.0, 1.0, budget);
+  expectSameRectification(local, fleet.run);
 }
 
 TEST(FleetEngine, ConnectionResetConsumesOneAttemptAndTheRunRecovers) {
@@ -933,9 +961,6 @@ TEST(FleetOptions, InvalidFleetKnobsAreRejectedNotUndefined) {
   opt.fleetConnectTimeoutMs = 2000;
   opt.fleetMinWorkers = 0;
   rejects(opt, "zero min workers");
-  opt.fleetMinWorkers = 1;
-  opt.totalConflictBudget = 1000;
-  rejects(opt, "workers on a governed run");
 }
 
 // --- End-to-end through the CLI binary ------------------------------------

@@ -359,11 +359,13 @@ struct CapturedRun {
   std::string rectifiedDump;
 };
 
-CapturedRun runCase(const EcoCase& c, std::size_t jobs, bool isolate) {
+CapturedRun runCase(const EcoCase& c, std::size_t jobs, bool isolate,
+                    std::int64_t conflictBudget = 0) {
   CapturedRun run;
   SysecoOptions opt;
   opt.jobs = jobs;
   opt.isolate = isolate;
+  opt.totalConflictBudget = conflictBudget;
   opt.isolateBackoffMs = 1.0;
   run.result = runSyseco(c.impl, c.spec, opt, &run.diag);
   run.rectifiedDump = run.result.rectified.dumpRawString();
@@ -489,13 +491,59 @@ TEST(Isolate, InvalidKnobsAreRejectedNotUndefined) {
   opt.isolateMaxAttempts = 3;
   opt.isolateBackoffMs = -1.0;
   EXPECT_FALSE(runSysecoChecked(c.impl, c.spec, opt).isOk());
-  // A governed run would take the in-process cascade: isolation could not
-  // contain a crash there, so the combination is rejected outright.
-  opt.isolateBackoffMs = 100.0;
-  opt.deadlineSeconds = 60.0;
-  const Result<EcoResult> governed = runSysecoChecked(c.impl, c.spec, opt);
-  ASSERT_FALSE(governed.isOk());
-  EXPECT_EQ(governed.status().code(), StatusCode::kInvalidInput);
+}
+
+TEST(Isolate, BudgetGovernedRunIsBitIdenticalInEveryExecutor) {
+  // Every planned output searches under a slice fixed from the plan, and
+  // the root guard's ledger is charged in plan order, so a conflict budget
+  // binds the same way whichever executor runs the tasks. At 4000 the root
+  // trips inside the last output's commit-time check; at 6000 it never
+  // trips and that output adopts an exact rewire.
+  const EcoCase c = isolateCase(11);
+  for (const std::int64_t budget : {4000, 6000}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const CapturedRun inline1 = runCase(c, 1, /*isolate=*/false, budget);
+    ASSERT_TRUE(inline1.diag.resourceDegraded()) << "the budget must bind";
+    expectIdenticalRuns(inline1, runCase(c, 4, /*isolate=*/false, budget));
+    expectIdenticalRuns(inline1, runCase(c, 2, /*isolate=*/true, budget));
+  }
+}
+
+TEST(Isolate, GovernedCrashIsQuarantinedAndEveryOutputCertified) {
+  // A deadline or budget no longer keeps a run in process: a worker that
+  // crashes under a governed --isolate run is contained like any other.
+  const EcoCase c = isolateCase(11);
+  SysecoOptions opt;
+  opt.jobs = 2;
+  opt.isolate = true;
+  opt.isolateBackoffMs = 1.0;
+  opt.deadlineSeconds = 600.0;
+  opt.totalConflictBudget = 100000000;
+  SysecoDiagnostics clean;
+  ASSERT_TRUE(runSyseco(c.impl, c.spec, opt, &clean).success);
+  ASSERT_FALSE(clean.outputs.empty());
+  // The first planned output is never fixed by an earlier commit, so its
+  // task always runs.
+  const std::uint32_t victim = clean.outputs.front().output;
+  fault::Injector::instance().arm("isolate.worker.o" + std::to_string(victim),
+                                  fault::Kind::kCrash);
+  SysecoDiagnostics diag;
+  const EcoResult res = runSyseco(c.impl, c.spec, opt, &diag);
+  fault::Injector::instance().reset();
+  EXPECT_TRUE(res.success);
+  EXPECT_EQ(diag.certificates.size(), clean.certificates.size());
+  for (const OutputCertificate& cert : diag.certificates)
+    EXPECT_TRUE(cert.certified) << "output " << cert.output;
+  int seen = 0;
+  for (const OutputReport& r : diag.outputs) {
+    if (r.output != victim) continue;
+    ++seen;
+    EXPECT_EQ(r.status, OutputRectStatus::kFallback);
+    EXPECT_EQ(r.limit, StatusCode::kInternal);
+    EXPECT_EQ(r.workerExitCause, WorkerExitCause::kCrash);
+    EXPECT_EQ(r.workerFailedAttempts, opt.isolateMaxAttempts);
+  }
+  EXPECT_EQ(seen, 1);
 }
 
 // --- End-to-end through the CLI binary ------------------------------------

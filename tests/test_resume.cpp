@@ -85,7 +85,8 @@ Reference uninterruptedRun(const Netlist& impl, const Netlist& spec) {
 SysecoDiagnostics journaledRun(const Netlist& impl, const Netlist& spec,
                                const std::string& dir, std::size_t stopAfter,
                                const ResumePlan* plan = nullptr,
-                               bool freshJournal = true) {
+                               bool freshJournal = true,
+                               const SysecoOptions& base = {}) {
   Result<JournalWriter> w =
       freshJournal ? JournalWriter::create(dir) : [&] {
         Result<JournalScan> scan = scanJournal(dir);
@@ -94,7 +95,7 @@ SysecoDiagnostics journaledRun(const Netlist& impl, const Netlist& spec,
       }();
   EXPECT_TRUE(w.isOk());
   std::size_t fresh = 0;
-  SysecoOptions opt;
+  SysecoOptions opt = base;
   opt.resumePlan = plan;
   opt.planHook = [&](const std::vector<std::uint32_t>& order,
                      std::size_t failingBefore) {
@@ -185,6 +186,43 @@ TEST(ResumeTest, ResumedRunCanItselfBeInterruptedAndResumed) {
       expectSameReports(diag.outputs, ref.diag.outputs);
     }
   }
+}
+
+TEST(ResumeTest, ResumedGovernedRunContinuesTheSameBudget) {
+  // The budgets are part of the resume fingerprint and the journal records
+  // what the interrupted run spent, so a resumed run continues on the same
+  // ledger instead of being handed the whole budget again.
+  const Netlist impl = aluImpl(), spec = aluSpec();
+  SysecoOptions governed;
+  governed.totalConflictBudget = 20;
+  Reference ref;
+  ref.result = runSyseco(impl, spec, governed, &ref.diag);
+  ref.rectifiedDump = ref.result.rectified.dumpRawString();
+  ASSERT_TRUE(ref.result.success);
+  ASSERT_GE(ref.diag.outputs.size(), 2u);
+
+  const std::string dir = testDir("governed");
+  const SysecoDiagnostics first =
+      journaledRun(impl, spec, dir, 1, nullptr, true, governed);
+  ASSERT_TRUE(first.interrupted);
+  Result<JournalContents> contents = readJournal(dir);
+  ASSERT_TRUE(contents.isOk());
+  Result<ResumeOutcome> prepared =
+      prepareResume(impl, spec, governed, contents.value());
+  ASSERT_TRUE(prepared.isOk()) << prepared.status().toString();
+  ASSERT_TRUE(prepared.value().adopted);
+
+  SysecoOptions opt = governed;
+  opt.resumePlan = &prepared.value().plan;
+  SysecoDiagnostics diag;
+  const EcoResult res = runSyseco(prepared.value().netlist, spec, opt, &diag);
+  ASSERT_TRUE(res.success);
+  EXPECT_EQ(res.rectified.dumpRawString(), ref.rectifiedDump);
+  EXPECT_EQ(serializeVerdicts(makeVerdictsRecord(diag)),
+            serializeVerdicts(makeVerdictsRecord(ref.diag)));
+  expectSameReports(diag.outputs, ref.diag.outputs);
+  EXPECT_EQ(diag.conflictsUsed, ref.diag.conflictsUsed);
+  EXPECT_LE(diag.conflictsUsed, 20 + 256) << "budget should bind tightly";
 }
 
 TEST(ResumeTest, TamperedSnapshotIsDemotedNeverCertified) {
