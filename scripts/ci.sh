@@ -43,6 +43,17 @@ echo "=== Release build (warnings are errors) + tier-1 tests ==="
 cmake -B "$ROOT/build-ci" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS="-Werror -Wno-error=restrict"
 cmake --build "$ROOT/build-ci" -j "$JOBS"
+# CTest names value-parameterized tests after gtest's listing of the value.
+# A parameter type without a PrintTo is listed as a byte dump, which can
+# carry addresses that change with every run, and the test then renames
+# itself. Two listings of each suite must agree.
+for bin in "$ROOT"/build-ci/tests/syseco_*tests; do
+  if ! diff <("$bin" --gtest_list_tests) <("$bin" --gtest_list_tests); then
+    echo "$(basename "$bin"): --gtest_list_tests differs between two runs;"\
+         "give the parameter type a PrintTo"
+    exit 1
+  fi
+done
 ctest --test-dir "$ROOT/build-ci" --output-on-failure -j "$JOBS"
 
 end_stage

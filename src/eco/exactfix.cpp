@@ -7,6 +7,7 @@
 #include "bdd/bdd.hpp"
 #include "cnf/encode.hpp"
 #include "eco/matching.hpp"
+#include "eco/search.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -49,34 +50,9 @@ Bdd::Ref buildConeBdd(Bdd& mgr, const Netlist& nl, NetId root,
       }
       in.push_back(v);
     }
-    // Pinned so a reorder at any operation boundary keeps the partial live
-    // (it is reachable from no provider-visible root until committed).
-    Bdd::ScopedRef r(mgr, Bdd::kFalse);
-    switch (gate.type) {
-      case GateType::Const0: r = Bdd::kFalse; break;
-      case GateType::Const1: r = Bdd::kTrue; break;
-      case GateType::Buf: r = in[0]; break;
-      case GateType::Not: r = mgr.bNot(in[0]); break;
-      case GateType::And: r = mgr.andMany(in); break;
-      case GateType::Nand:
-        r = mgr.andMany(in);
-        r = mgr.bNot(r);
-        break;
-      case GateType::Or: r = mgr.orMany(in); break;
-      case GateType::Nor:
-        r = mgr.orMany(in);
-        r = mgr.bNot(r);
-        break;
-      case GateType::Xor:
-      case GateType::Xnor: {
-        r = in[0];
-        for (std::size_t k = 1; k < in.size(); ++k) r = mgr.bXor(r, in[k]);
-        if (gate.type == GateType::Xnor) r = mgr.bNot(r);
-        break;
-      }
-      case GateType::Mux: r = mgr.ite(in[0], in[2], in[1]); break;
-    }
-    netBdd[gate.out] = r;
+    // No operation runs between the evaluation and the memo write, so a
+    // reorder cannot detach the result before the root provider sees it.
+    netBdd[gate.out] = gateBdd(mgr, gate.type, in);
   }
   if (auto it = netBdd.find(root); it != netBdd.end()) return it->second;
   const auto& net = nl.net(root);

@@ -14,6 +14,7 @@
 #include "eco/isolate.hpp"
 #include "eco/report.hpp"
 #include "eco/resume.hpp"
+#include "eco/search.hpp"
 #include "eco/syseco.hpp"
 #include "io/journal_io.hpp"
 #include "netlist/analysis.hpp"
@@ -233,9 +234,10 @@ AgentTask outputTask(const FleetTaskRequest& req,
   t.site = "fleet.agent";
   t.pin = "o" + std::to_string(req.output);
   t.compute = [req, &opt](const CaseCacheLru::Entry& e) -> Result<std::string> {
-    Result<WorkerPatch> r = runFleetTask(
-        e.c.base, e.c.spec, e.c.options, req.limits, req.output, e.c.protect,
-        e.baseAnalysis.get(), e.specAnalysis.get());
+    const TaskInputs in{e.c.base, e.c.protect,
+                        SearchInputs{e.c.spec, e.c.options, *e.baseAnalysis,
+                                     *e.specAnalysis}};
+    Result<WorkerPatch> r = runOutputTask(in, req.output, req.limits);
     if (!r.isOk()) return r.status();
     if (opt.verbose)
       std::fprintf(stderr, "[syseco-agent] out=%u done (produced=%d)\n",

@@ -5,7 +5,7 @@
 // supervisor connection at a time. Over that connection it receives
 // SEF1-framed assignments (eco/isolate.hpp fleet codecs): a per-output task
 // (kTypeFleetTask) runs the exact pure per-output function every executor
-// runs (runFleetTask); a whole-case task (kTypeFleetCaseTask) runs the full
+// runs (runOutputTask, eco/search.hpp); a whole-case task (kTypeFleetCaseTask) runs the full
 // engine on the case - same seed, same options, agent-local --jobs - and
 // answers with one envelope carrying the run report, the oracle's verdicts
 // record and the patched netlist. Either way the agent fetches the

@@ -8,9 +8,10 @@
 // rectifies one output against the shared base snapshot and ships back a
 // WorkerPatch - the gates it appended past the snapshot, its rewire trail
 // and its diagnostics fragment. Every executor, in-process threads
-// included, builds that patch with the same pure task and the supervisor
-// commits it through one plan-order path, which is what makes successful
-// isolated and fleet runs bit-identical to --jobs runs.
+// included, builds that patch with the same pure task (runOutputTask in
+// eco/search.hpp) and the supervisor commits it through one plan-order
+// path, which is what makes successful isolated and fleet runs
+// bit-identical to --jobs runs.
 //
 // Payloads are JSON (the journal_io idiom) so the fuzz-hardened parser
 // guards the wire format, and decodeWorkerPatch re-validates every id
@@ -219,22 +220,5 @@ inline WorkerExitCause workerExitCauseOf(const Status& failure) {
              ? WorkerExitCause::kOom
              : WorkerExitCause::kCrash;
 }
-
-class NetlistAnalysis;
-
-/// The pure per-output task: rectify `output` of `base` against `spec`
-/// under sanitized worker `options` and the resource slice `limits`,
-/// exactly as every local executor does, and return the extracted patch.
-/// Shared analyses may be passed to amortize cone work across tasks on the
-/// same case (the agent caches them per case); null pointers make the
-/// engine build its own. The
-/// --serve-worker agent's entry point into the engine's one task builder.
-Result<WorkerPatch> runFleetTask(const Netlist& base, const Netlist& spec,
-                                 const SysecoOptions& options,
-                                 const ResourceGuard::Limits& limits,
-                                 std::uint32_t output,
-                                 const std::vector<std::uint32_t>& protect,
-                                 const NetlistAnalysis* baseAnalysis,
-                                 const NetlistAnalysis* specAnalysis);
 
 }  // namespace syseco
